@@ -26,7 +26,14 @@ from math import isqrt, log, log1p, sqrt
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, InvariantViolation, NotAdmissible
+from . import galois, tower
+from .errors import (
+    ConvergenceFailure,
+    DomainError,
+    InvariantViolation,
+    NotAdmissible,
+    TooLarge,
+)
 
 BOUND_IDS = (
     "rate_cap",
@@ -53,19 +60,6 @@ _DOMAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class BoundQuery:
-    """One bound evaluation request; `value()` validates and dispatches."""
-
-    bound_id: str
-    q: float
-    r: int
-    delta: float
-
-    def value(self) -> float:
-        return evaluate(self.bound_id, self.q, self.r, self.delta)
-
-
-@dataclass(frozen=True)
 class CurveRow:
     delta: float
     bound_id: str
@@ -74,8 +68,8 @@ class CurveRow:
 
 def _check_q(q: float) -> float:
     q = float(q)
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
+    if not 2 <= q < math.inf:
+        raise DomainError(f"q must be finite and >= 2, got {q}")
     return q
 
 
@@ -121,12 +115,12 @@ def singleton_finite(n: int, k: int, r: int) -> int:
 def _check_delta(q: float, delta: float, bound_id: str) -> float:
     if bound_id in _GV_RANGE_IDS:
         hi = 1.0 - 1.0 / q
-        if delta < -_DOMAIN_SLACK or delta > hi + _DOMAIN_SLACK:
+        if not -_DOMAIN_SLACK <= delta <= hi + _DOMAIN_SLACK:
             raise DomainError(
                 f"{bound_id} needs delta in [0, {hi}], got {delta}"
             )
         return min(max(delta, 0.0), hi)
-    if delta < -_DOMAIN_SLACK or delta > 1.0 + _DOMAIN_SLACK:
+    if not -_DOMAIN_SLACK <= delta <= 1.0 + _DOMAIN_SLACK:
         raise DomainError(f"delta = {delta} outside [0, 1]")
     return min(max(delta, 0.0), 1.0)
 
@@ -261,7 +255,7 @@ def _gv_domain(q: float, r: int, delta: float) -> tuple[float, float]:
     if r < 1:
         raise DomainError(f"locality must be >= 1, got {r}")
     hi = 1.0 - 1.0 / q
-    if delta <= 0.0 or delta > hi + _DOMAIN_SLACK:
+    if not 0.0 < delta <= hi + _DOMAIN_SLACK:
         raise DomainError(f"gv needs delta in (0, {hi}], got {delta}")
     return q, min(delta, hi)
 
@@ -382,6 +376,8 @@ def _prime_power(q: int) -> tuple[int, int]:
     n = int(q)
     if n < 2:
         raise DomainError(f"q = {q} is not a prime power")
+    if n > galois.SIZE_GUARD:  # every caller builds GF(q), which the guard refuses
+        raise TooLarge(f"q = {q} exceeds the field-size guard {galois.SIZE_GUARD}")
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -400,8 +396,6 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 def admissible_localities(q: int) -> list[int]:
     """All admissible localities r = u p^v - 1 for the square prime power q."""
-    from . import galois, tower
-
     p, w = _prime_power(q)
     if w % 2:
         raise DomainError(f"q = {q} is not a square")
@@ -439,11 +433,15 @@ def crossover_delta_naive(q: float, r: int) -> float:
 def sweep(ids, q: float, r: int, delta_grid) -> list[CurveRow]:
     """One CurveRow per (delta, id), delta-major; out-of-domain rows carry NaN.
 
-    Structural errors (unknown id, inadmissible btv query) propagate.
+    Structural errors (unknown id, inadmissible btv query) propagate, and so
+    does a q or grid delta that is not finite, or a q below 2.
     """
+    _check_q(q)
     grid = list(delta_grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("delta grid must be strictly increasing")
+    if not all(map(math.isfinite, grid)) or any(
+        b <= a for a, b in zip(grid, grid[1:])
+    ):
+        raise DomainError("delta grid must be finite and strictly increasing")
     for bound_id in ids:
         if bound_id not in BOUND_IDS:
             raise DomainError(f"unknown bound id {bound_id!r}")

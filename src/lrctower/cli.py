@@ -15,7 +15,7 @@ import tempfile
 import click
 
 from . import bounds, codes, galois, tower
-from .errors import LrcError
+from .errors import LrcError, SpecMismatch
 
 #: the eight built-in (q, delta = 0.5) comparison configurations
 REFERENCE_QS = (2**8, 2**10, 2**12, 3**6, 3**8, 5**4, 5**6, 5**8)
@@ -250,7 +250,10 @@ def code_repair(code_file, word, idx):
     symbols = []
     for part in word.split(","):
         part = part.strip()
-        symbols.append(None if part == "?" else int(part))
+        try:
+            symbols.append(None if part == "?" else int(part))
+        except ValueError:
+            raise SpecMismatch(f"word symbol {part!r} is not an index") from None
     if len(symbols) != code.n:
         raise click.UsageError(f"word must have n = {code.n} symbols")
     if idx is None:

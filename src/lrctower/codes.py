@@ -23,6 +23,7 @@ from .errors import (
     InvariantViolation,
     LengthMismatch,
     LocalityTooSmall,
+    LrcError,
     NoGroups,
     NotDivisible,
     NotRepairable,
@@ -149,6 +150,8 @@ class LinearCode:
                 raise LengthMismatch(
                     f"generator row of length {len(row)}, expected n = {self.n}"
                 )
+        if self.y_values is not None and len(self.y_values) != self.n:
+            raise LengthMismatch(f"{len(self.y_values)} y values, expected n = {self.n}")
         if matrix_rank(self.generator) != self.k:
             raise RankDeficiency(f"generator rank below k = {self.k}")
         if self.repair_groups is not None:
@@ -170,15 +173,6 @@ class LinearCode:
             if idx in g:
                 return g
         raise NoGroups(f"coordinate {idx} not in any group")  # pragma: no cover
-
-
-@dataclass(frozen=True)
-class EvaluationBasis:
-    """The orbit-invariant polynomial and the (i, j) exponent pairs spanning
-    the evaluated function space {t(y)^j * y^i}."""
-
-    t_poly: Poly
-    exponents: tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -227,12 +221,6 @@ def good_function(spec: galois.FieldSpec, u: int, v: int) -> Poly:
     return t_poly
 
 
-def evaluation_basis(spec: galois.FieldSpec, u: int, v: int, s: int) -> EvaluationBasis:
-    r = u * spec.p**v - 1
-    exponents = tuple((i, j) for j in range(s + 1) for i in range(r))
-    return EvaluationBasis(good_function(spec, u, v), exponents)
-
-
 def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> LinearCode:
     """Evaluation code over the level-1 places with repair groups = orbits.
 
@@ -242,15 +230,14 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     group = tower.build_subgroup(spec, u, v)
     r = group.r
     n, _, d_lb = tower.thm34_params(spec, 1, r, s)
-    basis = evaluation_basis(spec, u, v, s)
+    t_poly = good_function(spec, u, v)
     places = tower.enumerate_places(spec, 1)
     orbits = tower.orbit_partition(group, places)
     order = [j for orbit in orbits for j in orbit]
     ys = [places[j].coords[0] for j in order]
-    tvals = [poly_eval(basis.t_poly, y) for y in ys]
-    rows = []
-    for (i, j) in basis.exponents:
-        rows.append(tuple((tv**j) * (y**i) for tv, y in zip(tvals, ys)))
+    tvals = [poly_eval(t_poly, y) for y in ys]
+    rows = [tuple((tv**j) * (y**i) for tv, y in zip(tvals, ys))
+            for j in range(s + 1) for i in range(r)]
     k = r * (s + 1)
     groups = []
     start = 0
@@ -513,35 +500,41 @@ def to_json(code: LinearCode) -> str:
 
 
 def from_json(data) -> LinearCode:
-    """Rebuild a code from its JSON document (string or parsed dict)."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    spec = galois.field_from_json(data["field"])
-    gen = tuple(
-        tuple(spec.element(c) for c in row) for row in data["generator"]
-    )
-    groups = (
-        tuple(tuple(g) for g in data["repair_groups"])
-        if data.get("repair_groups") is not None
-        else None
-    )
-    ys = (
-        tuple(spec.element(c) for c in data["y_values"])
-        if data.get("y_values") is not None
-        else None
-    )
-    meta = {
-        "construction": data.get("construction", "generic"),
-        "r": data.get("r"),
-        "d_lower": data.get("d_lower", 1),
-    }
-    meta.update(data.get("params", {}))
-    return LinearCode(
-        field=spec,
-        n=int(data["n"]),
-        k=int(data["k"]),
-        generator=gen,
-        repair_groups=groups,
-        y_values=ys,
-        meta=meta,
-    )
+    """Rebuild a code from its JSON document (string or parsed dict); raises
+    SpecMismatch on malformed input and LengthMismatch on a wrong length."""
+    try:
+        if isinstance(data, (str, bytes)):
+            data = json.loads(data)
+        spec = galois.field_from_json(data["field"])
+        gen = tuple(
+            tuple(spec.element(c) for c in row) for row in data["generator"]
+        )
+        groups = (
+            tuple(tuple(g) for g in data["repair_groups"])
+            if data.get("repair_groups") is not None
+            else None
+        )
+        ys = (
+            tuple(spec.element(c) for c in data["y_values"])
+            if data.get("y_values") is not None
+            else None
+        )
+        meta = {
+            "construction": data.get("construction", "generic"),
+            "r": None if data.get("r") is None else int(data["r"]),
+            "d_lower": int(data.get("d_lower", 1)),
+        }
+        meta.update(data.get("params", {}))
+        return LinearCode(
+            field=spec,
+            n=int(data["n"]),
+            k=int(data["k"]),
+            generator=gen,
+            repair_groups=groups,
+            y_values=ys,
+            meta=meta,
+        )
+    except LrcError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SpecMismatch(f"malformed code document: {exc!r}") from None

@@ -1,9 +1,12 @@
 """Exact arithmetic in GF(p^w) with a deterministic modulus.
 
-Elements are coefficient vectors over Z_p in the polynomial basis, low
-degree first.  The modulus is the lexicographically smallest monic
-irreducible polynomial of degree w over Z_p (coefficients compared low
-degree first), so two runs always build the same field.
+An element is its canonical index sum c_k p^k, where c_0, ..., c_{w-1} are
+its coefficients over Z_p in the polynomial basis; the coefficients appear
+only at the JSON boundary.  The modulus is the lexicographically smallest
+monic irreducible polynomial of degree w over Z_p (coefficients compared
+low degree first), so two runs always build the same field.  Arithmetic
+looks up the exp/log tables of a primitive element g and the Zech
+logarithms log(1 + g^k), which a field builds on its first operation.
 
 For even w the field carries ell = p^(w/2) = sqrt(q) and the subfield
 F_ell is characterized as the fixed set of the ell-power map.  On top of
@@ -14,7 +17,9 @@ H <= F_ell^* and the repair subspaces W used by the tower constructions.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from math import gcd
+from operator import index as _integer
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -72,6 +77,16 @@ def _irreducible(poly: Sequence[int], p: int) -> bool:
     return True
 
 
+def _digits(i: int, p: int, w: int) -> list[int]:
+    """The w base-p digits of the canonical index i, low degree first."""
+    return [i // p**k % p for k in range(w)]
+
+
+def _index(coeffs: Sequence[int], p: int) -> int:
+    """Canonical index sum coeffs[k] * p^k, each coefficient reduced mod p."""
+    return sum(_integer(c) % p * p**k for k, c in enumerate(coeffs))
+
+
 class FieldSpec:
     """The finite field GF(p^w); construct via :func:`field_create`."""
 
@@ -81,21 +96,35 @@ class FieldSpec:
         self.q = p**w
         self.modulus = modulus
         self.ell = p ** (w // 2) if w % 2 == 0 else None
-        # x^w .. x^(2w-2) reduced mod modulus, for products of two elements
-        self._xpow: list[tuple[int, ...]] = []
-        power = [0] * w
-        power[-1] = 1  # x^(w-1)
-        for _ in range(w - 1 if w > 1 else 0):
-            shifted = [0] + power
-            reduced = _poly_mod(shifted, modulus, p)
-            reduced += [0] * (w - len(reduced))
-            self._xpow.append(tuple(reduced))
-            power = reduced
-        self._zero = FieldElement(self, (0,) * w)
-        self._one = FieldElement(self, tuple([1] + [0] * (w - 1)))
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
+        self._tables = None
+
+    @cached_property
+    def _logs(self) -> tuple[list[int], list[int], list[int]]:
+        """(exp, log, zech) of the first primitive element g in index order.
+
+        exp[k] = g^k for 0 <= k < 2(q-1), so a sum of two logs needs no
+        reduction; zech[k] = log(1 + g^k), where log(0) is stored as -1.
+        """
+        p, w = self.p, self.w
+        for g in range(1, self.q):
+            gc = _digits(g, p, w)
+            powers, x = [1], gc
+            while (i := _index(x, p)) != 1:
+                powers.append(i)
+                conv = [0] * (2 * w - 1)
+                for b, cb in enumerate(gc):
+                    if cb:
+                        for a, ca in enumerate(x):
+                            conv[a + b] += ca * cb
+                x = _poly_mod(conv, self.modulus, p)
+            if len(powers) == self.q - 1:
+                break
+        log = [-1] * self.q
+        for k, e in enumerate(powers):
+            log[e] = k
+        # 1 + g^k adds one to the constant coefficient e % p of e = g^k
+        zech = [log[e + 1 if e % p < p - 1 else e + 1 - p] for e in powers]
+        return powers + powers, log, zech
 
     # -- element access ------------------------------------------------
 
@@ -104,59 +133,51 @@ class FieldSpec:
             raise SpecMismatch(
                 f"expected {self.w} coefficients, got {len(coeffs)}"
             )
-        return FieldElement(self, tuple(c % self.p for c in coeffs))
+        return FieldElement(self, _index(coeffs, self.p))
 
     def from_index(self, i: int) -> "FieldElement":
         """Element with canonical index i = sum coeffs[k] * p^k."""
         if not 0 <= i < self.q:
             raise SpecMismatch(f"index {i} outside [0, {self.q})")
-        coeffs = []
-        for _ in range(self.w):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, i)
 
     def zero(self) -> "FieldElement":
-        return self._zero
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return self._one
+        return FieldElement(self, 1)
 
     def scalar(self, c: int) -> "FieldElement":
-        return FieldElement(self, tuple([c % self.p] + [0] * (self.w - 1)))
+        return FieldElement(self, c % self.p)
 
     def elements(self) -> Iterator["FieldElement"]:
         """All elements in canonical index order."""
         for i in range(self.q):
-            yield self.from_index(i)
+            yield FieldElement(self, i)
 
     # -- lazy lookup tables (used by the brute-force code scans) --------
 
     def tables(self):
-        """(add, mul, inv) numpy index tables; built lazily, q <= 4096 only."""
-        if self._add_table is None:
+        """(add, mul, inv) numpy index tables over the exp/log/Zech lists that
+        the scalar ops use; built lazily, q <= 4096 only."""
+        if self._tables is None:
             if self.q > 4096:
                 raise TooLarge(f"lookup tables limited to q <= 4096, got q={self.q}")
             import numpy as np
 
+            exp, log, zech = (np.array(t, dtype=np.int32) for t in self._logs)
             q = self.q
+            lg = log[1:, None]  # logs of the nonzero elements, as a column
             add = np.empty((q, q), dtype=np.int32)
-            mul = np.empty((q, q), dtype=np.int32)
+            add[0] = add[:, 0] = np.arange(q)
+            z = zech[(lg.T - lg) % (q - 1)]
+            add[1:, 1:] = np.where(z < 0, 0, exp[lg + z])
+            mul = np.zeros((q, q), dtype=np.int32)
+            mul[1:, 1:] = exp[lg + lg.T]
             inv = np.zeros(q, dtype=np.int32)
-            elems = list(self.elements())
-            for i, a in enumerate(elems):
-                for j in range(i, q):
-                    b = elems[j]
-                    s = (a + b).index
-                    m = (a * b).index
-                    add[i, j] = add[j, i] = s
-                    mul[i, j] = mul[j, i] = m
-                if i:
-                    inv[i] = a.inverse().index
-            self._add_table = add
-            self._mul_table = mul
-            self._inv_table = inv
-        return self._add_table, self._mul_table, self._inv_table
+            inv[1:] = exp[q - 1 - log[1:]]
+            self._tables = add, mul, inv
+        return self._tables
 
     # -- misc ------------------------------------------------------------
 
@@ -177,111 +198,86 @@ class FieldSpec:
 
 
 class FieldElement:
-    """Immutable element of a :class:`FieldSpec`, a length-w coefficient tuple."""
+    """Immutable element of a :class:`FieldSpec`, held as its canonical index."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "index")
 
-    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, field: FieldSpec, index: int):
         self.field = field
-        self.coeffs = coeffs
+        self.index = index
 
     @property
-    def index(self) -> int:
-        i = 0
-        for c in reversed(self.coeffs):
-            i = i * self.field.p + c
-        return i
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficients over Z_p in the polynomial basis, low degree first."""
+        return tuple(self.to_json())
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.index
 
-    def _check(self, other: "FieldElement"):
+    def _operand(self, other) -> "FieldElement":
+        if isinstance(other, int):
+            return self.field.scalar(other)
         if self.field is not other.field and self.field != other.field:
             raise SpecMismatch("operands from different fields")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        other = self._operand(other)
+        i, j = self.index, other.index
+        if not i:
+            return other
+        if not j:
+            return self
+        exp, log, zech = self.field._logs
+        z = zech[(log[j] - log[i]) % (self.field.q - 1)]
+        return FieldElement(self.field, exp[log[i] + z] if z >= 0 else 0)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        self._check(other)
-        p = self.field.p
-        return FieldElement(
-            self.field,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self + -self._operand(other)
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
+        if not self.index:
+            return self
+        exp, log, _ = self.field._logs
+        return FieldElement(self.field, exp[log[self.index] + log[self.field.p - 1]])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.field.scalar(other)
-        self._check(other)
-        f = self.field
-        p, w = f.p, f.w
-        if w == 1:
-            return FieldElement(f, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        conv = [0] * (2 * w - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    conv[i + j] += a * b
-        out = [c % p for c in conv[:w]]
-        for k, c in enumerate(conv[w:]):
-            c %= p
-            if c:
-                red = f._xpow[k]
-                for j in range(w):
-                    out[j] = (out[j] + c * red[j]) % p
-        return FieldElement(f, tuple(out))
+        other = self._operand(other)
+        if not (self.index and other.index):
+            return self.field.zero()
+        exp, log, _ = self.field._logs
+        return FieldElement(self.field, exp[log[self.index] + log[other.index]])
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not self.index:
+            if n < 0:
+                raise DivideByZero("inverse of zero")
+            return self if n else self.field.one()
+        exp, log, _ = self.field._logs
+        return FieldElement(self.field, exp[log[self.index] * n % (self.field.q - 1)])
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise DivideByZero("inverse of zero")
-        return self ** (self.field.q - 2)
+        return self ** -1
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
+            and self.index == other.index
             and self.field == other.field
-            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.index)
 
     def __lt__(self, other):
         """Canonical order: by index."""
-        self._check(other)
-        return self.index < other.index
+        return self.index < self._operand(other).index
 
     def to_json(self) -> list[int]:
-        return list(self.coeffs)
+        return _digits(self.index, self.field.p, self.field.w)
 
     def __repr__(self):
         return f"<{self.index}:GF({self.field.p}^{self.field.w})>"
@@ -296,10 +292,10 @@ def field_create(p: int, w: int) -> FieldSpec:
     """
     if w < 1:
         raise NotAdmissible(f"exponent must be >= 1, got {w}")
+    if w >= SIZE_GUARD.bit_length() or p**w > SIZE_GUARD:
+        raise TooLarge(f"p^w = {p}^{w} exceeds the guard {SIZE_GUARD}")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p**w > SIZE_GUARD:
-        raise TooLarge(f"p^w = {p**w} exceeds the guard {SIZE_GUARD}")
     key = (p, w)
     if key not in _FIELD_CACHE:
         modulus = None
@@ -315,10 +311,15 @@ def field_create(p: int, w: int) -> FieldSpec:
 
 def field_from_json(data: dict) -> FieldSpec:
     """Rebuild a field from {p, w, modulus}, enforcing the deterministic modulus."""
-    spec = field_create(int(data["p"]), int(data["w"]))
-    if list(spec.modulus) != [int(c) for c in data["modulus"]]:
+    try:
+        p, w = _integer(data["p"]), _integer(data["w"])
+        modulus = [_integer(c) for c in data["modulus"]]
+    except (KeyError, TypeError) as exc:
+        raise SpecMismatch(f"malformed field: {exc!r}") from None
+    spec = field_create(p, w)
+    if list(spec.modulus) != modulus:
         raise SpecMismatch(
-            f"serialized modulus {data['modulus']} differs from the "
+            f"serialized modulus {modulus} differs from the "
             f"deterministic one {list(spec.modulus)}"
         )
     return spec

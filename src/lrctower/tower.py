@@ -105,10 +105,9 @@ class AutSubgroup:
 def _kernel_image_preimages(spec: galois.FieldSpec) -> dict:
     """Map v -> sorted solutions x of x^ell + x = v (exactly ell each)."""
     ell = spec.ell
-    pre: dict[tuple[int, ...], list[galois.FieldElement]] = {}
+    pre: dict[int, list[galois.FieldElement]] = {}
     for x in spec.elements():
-        v = x**ell + x
-        pre.setdefault(v.coeffs, []).append(x)
+        pre.setdefault((x**ell + x).index, []).append(x)
     return pre
 
 
@@ -123,14 +122,13 @@ def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     if expected > PLACE_GUARD:
         raise TooLarge(f"{expected} places exceed the guard {PLACE_GUARD}")
     pre = _kernel_image_preimages(spec)
-    zero_key = spec.zero().coeffs
-    level = [(a,) for a in spec.elements() if (a**ell + a).coeffs != zero_key]
+    level = [(a,) for a in spec.elements() if not (a**ell + a).is_zero()]
     for _ in range(m - 1):
         nxt = []
         for coords in level:
             prev = coords[-1]
             rhs = (prev**ell) * (prev ** (ell - 1) + spec.one()).inverse()
-            sols = pre.get(rhs.coeffs, [])
+            sols = pre.get(rhs.index, [])
             if len(sols) != ell:  # pragma: no cover - structural
                 raise InvariantViolation(
                     f"step equation has {len(sols)} solutions, expected {ell}"

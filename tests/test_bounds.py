@@ -1,11 +1,12 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from lrctower import bounds
-from lrctower.errors import DomainError, NotAdmissible
+from lrctower.errors import DomainError, NotAdmissible, TooLarge
 
 # ---------------------------------------------------------------------------
 # independent oracles: dense grids with their own log-sum-exp, no reuse of
@@ -375,3 +376,27 @@ def test_csv_round_trip():
         d, b, v = line.split(",")
         assert float(d) == row.delta and b == row.bound_id
         assert float(v) == row.value  # exact round trip
+
+
+@pytest.mark.parametrize("bound_id", ["gv", "lp", "main", "plotkin"])
+@pytest.mark.parametrize("q,delta", [
+    (math.nan, 0.5), (math.inf, 0.5), (float("1e400"), 0.5),
+    (256, math.nan), (256, math.inf), (256, -math.inf),
+])
+def test_non_finite_q_and_delta_are_domain_errors(bound_id, q, delta):
+    with pytest.raises(DomainError):
+        bounds.evaluate(bound_id, q, 2, delta)
+    with pytest.raises(DomainError):
+        bounds.sweep([bound_id], q, 2, [0.1, delta])
+
+
+def test_non_finite_delta_in_find_s0():
+    with pytest.raises(DomainError):
+        bounds.find_s0(256, 2, math.nan)
+
+
+def test_huge_q_fails_at_once():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        bounds.admissible_localities((10**9 + 7) ** 2)
+    assert time.perf_counter() - start < 1.0

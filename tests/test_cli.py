@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from lrctower import cli
@@ -129,3 +130,35 @@ def test_no_temp_files_left(tmp_path):
            "--delta-min", "0.1", "--delta-max", "0.5", "--steps", "5",
            "--out", str(out))
     assert set(os.listdir(tmp_path)) == {"x.csv"}
+
+
+@pytest.mark.parametrize("args,error", [
+    pytest.param(["code", "verify", "NOFIELD"], "SpecMismatch", id="missing-field"),
+    pytest.param(["code", "repair", "CODE", "--word", "4,7,?,1,0,x"], "SpecMismatch",
+                 id="bad-word-token"),
+    pytest.param(["bounds", "eval", "--bound", "gv", "--q", "nan", "--r", "2",
+                  "--delta", "0.5"], "DomainError", id="nan-q"),
+    pytest.param(["bounds", "eval", "--bound", "main", "--q", "1e400", "--r", "2",
+                  "--delta", "0.5"], "DomainError", id="inf-q"),
+    pytest.param(["bounds", "eval", "--bound", "gv", "--q", "9", "--r", "2",
+                  "--delta", "nan"], "DomainError", id="nan-delta"),
+    pytest.param(["bounds", "sweep", "--bounds", "main,gv", "--q", "nan", "--r", "2",
+                  "--delta-min", "0", "--delta-max", "0.5", "--steps", "3"],
+                 "DomainError", id="nan-q-sweep"),
+    pytest.param(["bounds", "lists", "--q", str((10**9 + 7) ** 2)], "TooLarge",
+                 id="huge-q"),
+])
+def test_bad_input_is_a_one_line_error_with_exit_1(tmp_path, args, error):
+    code = tmp_path / "c.json"
+    invoke("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1",
+           "--out", str(code))
+    doc = json.loads(code.read_text())
+    del doc["field"]
+    nofield = tmp_path / "nofield.json"
+    nofield.write_text(json.dumps(doc))
+    files = {"CODE": str(code), "NOFIELD": str(nofield)}
+    result = invoke(*(files.get(arg, arg) for arg in args))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{error}: ")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from lrctower.errors import (
     NoGroups,
     NotDivisible,
     NotRepairable,
+    SpecMismatch,
     TooLarge,
 )
 
@@ -407,6 +409,38 @@ def test_json_naive_round_trip():
     assert codes.to_json(again) == blob
     assert again.y_values is None
     assert again.meta["construction"] == "naive"
+
+
+def _mangled(edit):
+    doc = json.loads(codes.to_json(codes.build_rational_lrc(F(3, 2), 1, 1, 1)))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit,error", [
+    pytest.param(lambda d: d.pop("field"), SpecMismatch, id="no-field"),
+    pytest.param(lambda d: d.pop("generator"), SpecMismatch, id="no-generator"),
+    pytest.param(lambda d: d.pop("n"), SpecMismatch, id="no-n"),
+    pytest.param(lambda d: d.update(k="four"), SpecMismatch, id="k-not-int"),
+    pytest.param(lambda d: d.update(generator=5), SpecMismatch, id="generator-int"),
+    pytest.param(lambda d: d["generator"][0].__setitem__(0, ["x", 0]), SpecMismatch,
+                 id="coeff-not-int"),
+    pytest.param(lambda d: d["generator"][0].__setitem__(0, [1]), SpecMismatch,
+                 id="coeff-count"),
+    pytest.param(lambda d: d.update(d_lower=None), SpecMismatch, id="d_lower-null"),
+    pytest.param(lambda d: d["generator"][0].pop(), LengthMismatch, id="short-row"),
+    pytest.param(lambda d: d["y_values"].pop(), LengthMismatch, id="short-y_values"),
+])
+def test_from_json_rejects_malformed_documents(edit, error):
+    with pytest.raises(error):
+        codes.from_json(_mangled(edit))
+
+
+def test_from_json_rejects_non_json_text():
+    with pytest.raises(SpecMismatch):
+        codes.from_json("{not json")
+    with pytest.raises(SpecMismatch):
+        codes.from_json("[1, 2]")
 
 
 def test_all_codewords_matches_encode():

@@ -269,3 +269,48 @@ def test_canonical_index_round_trip():
     f = galois.field_create(5, 2)
     for i in range(f.q):
         assert f.from_index(i).index == i
+
+
+def _schoolbook(f, a, b):
+    """Independent product oracle: full convolution, then reduction."""
+    conv = [0] * (2 * f.w - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return tuple(galois._poly_mod(conv, f.modulus, f.p))
+
+
+@pytest.mark.parametrize("p,w", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (5, 2), (2, 6)])
+def test_kernel_matches_polynomial_oracle_on_every_pair(p, w):
+    f = galois.field_create(p, w)
+    # coefficient vectors in canonical index order: c_0 varies fastest
+    vecs = [tuple(reversed(t)) for t in itertools.product(range(p), repeat=w)]
+    for i, c in enumerate(vecs):
+        assert f.element(c).index == i
+        assert f.from_index(i).coeffs == c
+    add, mul, inv = f.tables()
+    elems = list(f.elements())
+    for a in elems:
+        ca = vecs[a.index]
+        for b in elems:
+            cb = vecs[b.index]
+            assert (a * b).coeffs == _schoolbook(f, ca, cb)
+            assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(ca, cb))
+            assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(ca, cb))
+            assert mul[a.index, b.index] == (a * b).index
+            assert add[a.index, b.index] == (a + b).index
+        if not a.is_zero():
+            assert inv[a.index] == a.inverse().index
+
+
+@pytest.mark.parametrize("data,error", [
+    ({"w": 2, "modulus": [1, 0, 1]}, SpecMismatch),
+    ({"p": "3", "w": 2, "modulus": [1, 0, 1]}, SpecMismatch),
+    ({"p": 3, "w": 2, "modulus": None}, SpecMismatch),
+    ([3, 2], SpecMismatch),
+    ({"p": 10**30 + 57, "w": 1, "modulus": [0, 1]}, TooLarge),
+    ({"p": 2, "w": 10**12, "modulus": [0, 1]}, TooLarge),
+])
+def test_field_from_json_rejects_malformed_input(data, error):
+    with pytest.raises(error):
+        galois.field_from_json(data)
