@@ -12,10 +12,10 @@ The GV inner function
     h(s) = log_q((1+(q-1)s)^(r+1) + (q-1)(1-s)^(r+1)) / (r+1) - delta log_q(s)
 
 is evaluated in the log domain (two-term log-sum-exp) so q up to 2^64 and
-very large r never overflow.  h is unimodal, so the minimum is found by
-golden-section search seeded near s = 1/(q-1), guarded by a composite
-dense-grid scan over the whole interval; `find_s0` locates the critical
-point independently by bisection on the sign of h'.
+very large r never overflow.  h is unimodal on (0, 1], so its minimum sits
+at the one critical point s0, or at s = 1 when h decreases throughout:
+`find_s0` locates it by bisection on the sign of h', and the GV bound is
+1 - h(s0).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isqrt, log, log1p, sqrt
-
-import numpy as np
 
 from . import galois, tower
 from .errors import (
@@ -240,16 +238,6 @@ def _h(q: float, r: int, delta: float, s: float) -> float:
     return lse / ((r + 1.0) * lnq) - delta * log(s) / lnq
 
 
-def _h_grid(q: float, r: int, delta: float, grid) -> np.ndarray:
-    """Vectorized _h over a numpy grid."""
-    lnq = log(q)
-    a = (r + 1.0) * np.log1p((q - 1.0) * grid)
-    with np.errstate(divide="ignore"):
-        b = log(q - 1.0) + (r + 1.0) * np.log1p(-np.minimum(grid, 1.0))
-    lse = np.logaddexp(a, b)
-    return lse / ((r + 1.0) * lnq) - delta * np.log(grid) / lnq
-
-
 def _gv_domain(q: float, r: int, delta: float) -> tuple[float, float]:
     q = _check_q(q)
     if r < 1:
@@ -261,33 +249,10 @@ def _gv_domain(q: float, r: int, delta: float) -> tuple[float, float]:
 
 
 def gv_bound(q: float, r: int, delta: float) -> float:
-    """Locality-aware Gilbert-Varshamov rate bound 1 - min_{0<s<=1} h(s).
-
-    Golden-section on the seed window near 1/(q-1) plus a composite
-    dense-grid fallback over the whole interval; the better of the two wins.
-    """
+    """Locality-aware Gilbert-Varshamov rate bound 1 - min_{0<s<=1} h(s),
+    taken as 1 - h(s0) at the minimizer s0 = find_s0(q, r, delta)."""
     q, delta = _gv_domain(q, r, delta)
-
-    def f(s: float) -> float:
-        return _h(q, r, delta, s)
-
-    lo = 1.0 / (q - 1.0)
-    eps = 2.0 ** (-r) if r < 1074 else 0.0
-    seed_hi = min(1.0, lo + eps + 1e-3)
-    _, v1 = _golden(f, lo, seed_hi, 1e-14 * lo)
-
-    # the critical point satisfies s0 >= delta/(q-1)
-    glo = max(delta / (2.0 * (q - 1.0)), 1e-280)
-    grid = np.unique(
-        np.concatenate([np.geomspace(glo, 1.0, 2048), np.linspace(glo, 1.0, 2048)])
-    )
-    vals = _h_grid(q, r, delta, grid)
-    i = int(np.argmin(vals))
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(len(grid) - 1, i + 1)])
-    _, v2 = _golden(f, a, b, 1e-14 * max(a, glo))
-
-    return 1.0 - min(v1, v2)
+    return 1.0 - _h(q, r, delta, find_s0(q, r, delta))
 
 
 def gv_derivative_sign(q: float, r: int, delta: float, s: float) -> int:
@@ -321,18 +286,29 @@ def gv_derivative_sign(q: float, r: int, delta: float, s: float) -> int:
     return 0
 
 
-def find_s0(q: float, r: int, delta: float) -> float:
-    """The unique critical point of h, by bisection on the sign of h'.
+def s0_window(q: float, r: int) -> tuple[float, float]:
+    """The window (1/(q-1), 1/(q-1) + 2^-r) that holds s0 at delta = 1/2.
 
-    For delta = 1/2 the result is checked against the window
-    (1/(q-1), 1/(q-1) + 2^-r).
+    2^-r is taken as 0 from r = 1074 on, where it underflows.
+    """
+    left = 1.0 / (q - 1.0)
+    return left, left + (2.0 ** (-r) if r < 1074 else 0.0)
+
+
+def find_s0(q: float, r: int, delta: float) -> float:
+    """The minimizer of h on (0, 1]: its unique critical point, found by
+    bisection on the sign of h', or 1 when h' < 0 throughout.
+
+    For delta = 1/2 the result is checked against the closed `s0_window`
+    whenever that window is at least 4 ulps wide.
     """
     q, delta = _gv_domain(q, r, delta)
     hi = 1.0
     if gv_derivative_sign(q, r, delta, hi) < 0:
         # h decreasing on all of (0, 1]: minimum sits at the right endpoint
         return 1.0
-    lo = 1.0 / (q - 1.0)
+    left, right = s0_window(q, r)
+    lo = left
     tries = 0
     while gv_derivative_sign(q, r, delta, lo) > 0:
         lo /= 2.0
@@ -348,14 +324,10 @@ def find_s0(q: float, r: int, delta: float) -> float:
         else:
             hi = mid
     s0 = 0.5 * (lo + hi)
-    if delta == 0.5:
-        # window check, when (left, left + 2^-r) is resolvable in doubles
-        left = 1.0 / (q - 1.0)
-        eps = 2.0 ** (-r) if r < 1074 else 0.0
-        if eps >= 4.0 * math.ulp(left) and not left < s0 < left + eps:
-            raise InvariantViolation(
-                f"s0 = {s0} outside ({left}, {left + eps})"
-            )
+    # a closed test: bisection may round s0 onto an end of a narrow window
+    resolvable = right - left >= 4.0 * math.ulp(left)
+    if delta == 0.5 and resolvable and not left <= s0 <= right:
+        raise InvariantViolation(f"s0 = {s0} outside [{left}, {right}]")
     return s0
 
 

@@ -130,10 +130,9 @@ def bounds_sweep(ids, q, r, delta_min, delta_max, steps, out):
 def bounds_s0(q, r, delta):
     """Critical point of the GV inner function, with the window endpoints."""
     s0 = bounds.find_s0(q, r, delta)
-    left = 1.0 / (q - 1.0)
-    eps = 2.0 ** (-r) if r < 1074 else 0.0
+    left, right = bounds.s0_window(q, r)
     click.echo(f"s0 = {s0!r}")
-    click.echo(f"window = ({left!r}, {left + eps!r})")
+    click.echo(f"window = ({left!r}, {right!r})")
 
 
 # -- tower ----------------------------------------------------------------------

@@ -325,26 +325,6 @@ def field_from_json(data: dict) -> FieldSpec:
     return spec
 
 
-_ARITH_OPS = {"add", "sub", "mul", "inv", "pow", "neg"}
-
-
-def field_arith(op: str, a: FieldElement, b=None) -> FieldElement:
-    """Dispatch one field operation; `b` is an element or, for pow, an int."""
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown op {op!r}")
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        return a ** int(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    return a * b
-
-
 def _require_square(spec: FieldSpec) -> int:
     if spec.ell is None:
         raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree, no ell")

@@ -229,6 +229,15 @@ def test_find_s0_window_for_half():
         assert lo < s0 < lo + 2.0 ** (-r)
 
 
+def test_find_s0_half_for_every_reference_locality():
+    # find_s0 raises InvariantViolation when s0 leaves a resolvable window; at
+    # q = 4096 and 15625 that window is a few ulps wide and bisection can
+    # land on its right end
+    for q in (2**8, 2**10, 2**12, 3**6, 3**8, 5**4, 5**6, 5**8):
+        for r in bounds.admissible_localities(q):
+            assert 0.0 < bounds.find_s0(q, r, 0.5) <= 1.0
+
+
 def test_find_s0_value_matches_zoomed_grid():
     for (q, r, d) in [(9, 2, 0.5), (64, 3, 0.5), (729, 2, 0.5), (81, 2, 0.4)]:
         s0 = bounds.find_s0(q, r, d)

@@ -46,9 +46,10 @@ def test_bounds_lists_reference_sets():
 
 
 def test_bounds_s0():
-    result = invoke("bounds", "s0", "--q", "65536", "--r", "32")
-    assert result.exit_code == 0
-    assert "s0 = " in result.output
+    for q, r in (("65536", "32"), ("4096", "62"), ("15625", "61")):
+        result = invoke("bounds", "s0", "--q", q, "--r", r)
+        assert result.exit_code == 0
+        assert "s0 = " in result.output
 
 
 def test_sweep_csv_file(tmp_path):
