@@ -8,15 +8,14 @@ linear code with disjoint all-ones parity rows of weight r+1.
 Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword projections), the
 minimum distance by an exact scan over all q^k codewords, and one-erasure
-repair by Lagrange interpolation round trips.
+repair by Lagrange interpolation round trips.  Only the exhaustive scans
+load numpy.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from . import galois, tower
 from .errors import (
@@ -64,62 +63,66 @@ def poly_eval(poly: Poly, x: Element) -> Element:
 
 # -- exact linear algebra over a FieldSpec -------------------------------------
 
-def _rref(rows: list[list[Element]]) -> tuple[list[list[Element]], list[int]]:
-    """Reduced row echelon form (in place on a copy) and pivot columns."""
+def _rref(f: galois.FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form (on a copy) and pivot columns of a matrix of
+    canonical indices, by Gauss-Jordan over the field's exp/log/Zech lists."""
     rows = [list(row) for row in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    exp, log, zech = f._logs
+    m = f.q - 1
+    neg = log[f.p - 1]  # log(-1)
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        pick = next(
-            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero()),
-            None,
-        )
+    for col in range(len(rows[0])):
+        rank = len(pivots)
+        pick = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pick is None:
             continue
         rows[rank], rows[pick] = rows[pick], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [c * inv for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        shift = m - log[rows[rank][col]]  # times the pivot's inverse
+        prow = rows[rank] = [exp[log[c] + shift] if c else 0 for c in rows[rank]]
+        support = [(j, log[c]) for j, c in enumerate(prow) if c]
+        for i, row in enumerate(rows):
+            if i == rank or not row[col]:
+                continue
+            lf = (log[row[col]] + neg) % m  # log of -row[col]
+            for j, lc in support:  # row[j] += exp[lf + lc], via Zech logs
+                a = row[j]
+                if a:
+                    la = log[a]
+                    z = zech[(lf + lc - la) % m]
+                    row[j] = exp[la + z] if z >= 0 else 0
+                else:
+                    row[j] = exp[lf + lc]
         pivots.append(col)
-        rank += 1
-        if rank == len(rows):
+        if len(pivots) == len(rows):
             break
     return rows, pivots
 
 
 def matrix_rank(rows) -> int:
-    return len(_rref([list(r) for r in rows])[1])
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        return 0
+    return len(_rref(rows[0][0].field, [[e.index for e in r] for r in rows])[1])
 
 
 def null_space(f: galois.FieldSpec, rows) -> list[list[Element]]:
     """Basis of {x : M x^T = 0} for the row matrix M, one vector per free column."""
-    rows = [list(r) for r in rows]
+    rows = [[e.index for e in r] for r in rows]
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = _rref(rows)
+    red, pivots = _rref(f, rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [f.zero()] * ncols
         vec[fc] = f.one()
         for rank_i, pc in enumerate(pivots):
-            vec[pc] = -red[rank_i][fc]
+            vec[pc] = -Element(f, red[rank_i][fc])
         basis.append(vec)
     return basis
-
-
-def _in_span(columns: list[list[Element]], target: list[Element]) -> bool:
-    """Whether target is a linear combination of the given column vectors."""
-    mat = [list(col) for col in columns]
-    base = matrix_rank(mat)
-    return matrix_rank(mat + [list(target)]) == base
 
 
 # -- the code object -----------------------------------------------------------
@@ -361,20 +364,24 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
     return acc
 
 
-def _index_matrix(code: LinearCode) -> np.ndarray:
+def _index_matrix(code: LinearCode):
+    import numpy as np
+
     return np.array(
         [[e.index for e in row] for row in code.generator], dtype=np.int32
     )
 
 
-def all_codewords(code: LinearCode, limit: int = 1 << 18) -> np.ndarray:
-    """All q^k codewords as a (q^k, n) array of element indices.
+def all_codewords(code: LinearCode, limit: int = 1 << 18):
+    """All q^k codewords as a (q^k, n) numpy array of element indices.
 
     Row order follows the mixed-radix message index with row 0 the zero word.
     """
     total = code.field.q**code.k
     if total > limit:
         raise TooLarge(f"q^k = {total} exceeds limit {limit}")
+    import numpy as np
+
     add, mul, _ = code.field.tables()
     G = _index_matrix(code)
     q = code.field.q
@@ -401,6 +408,8 @@ def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
             f"q^k = {total} exceeds limit {limit}; use sampled weights to "
             "probe d_lower instead"
         )
+    import numpy as np
+
     add, mul, _ = code.field.tables()
     G = _index_matrix(code)
     b = 1
@@ -439,26 +448,33 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
     """Two independent per-coordinate checks.
 
     (a) algebraic: generator column i lies in the span of the columns of
-        its group mates; (b) exhaustive (when q^k <= exhaustive_limit):
-        codewords agreeing on the group mates agree at i, i.e. the
-        projections determine the symbol.
+        its group mates, i.e. some linear dependency among the group's
+        columns involves i (one reduction per group); (b) exhaustive (when
+        q^k <= exhaustive_limit): codewords agreeing on the group mates
+        agree at i, i.e. the projections determine the symbol.
     """
     if code.repair_groups is None:
         raise NoGroups("code carries no repair groups")
-    cols = [[row[j] for row in code.generator] for j in range(code.n)]
-    algebraic = []
-    for i in range(code.n):
-        others = [j for j in code.group_of(i) if j != i]
-        algebraic.append(_in_span([cols[j] for j in others], cols[i]))
+    gen = [[e.index for e in row] for row in code.generator]
+    algebraic = [False] * code.n
+    for g in code.repair_groups:
+        red, pivots = _rref(code.field, [[row[j] for j in g] for row in gen])
+        free = [c for c in range(len(g)) if c not in pivots]
+        for c in free:
+            algebraic[g[c]] = True
+        for row, pc in zip(red, pivots):
+            algebraic[g[pc]] = any(row[fc] for fc in free)
     exhaustive = None
     if code.field.q**code.k <= exhaustive_limit:
+        import numpy as np
+
         words = all_codewords(code, exhaustive_limit)
         exhaustive = []
         for i in range(code.n):
             others = [j for j in code.group_of(i) if j != i]
             proj = words[:, others]
             vals = words[:, i]
-            order = np.lexsort(proj.T)
+            order = np.lexsort((vals, *proj.T))  # vals: a key even for r = 0
             sp, sv = proj[order], vals[order]
             dup = np.all(sp[1:] == sp[:-1], axis=1)
             exhaustive.append(not bool(np.any(dup & (sv[1:] != sv[:-1]))))

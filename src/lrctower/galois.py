@@ -288,7 +288,8 @@ def field_create(p: int, w: int) -> FieldSpec:
 
     The modulus is the first monic irreducible degree-w polynomial in the
     lexicographic order on coefficient tuples (c0, c1, ..., c_{w-1}); for
-    w = 1 this is X itself, i.e. plain Z_p arithmetic.
+    w = 1 this is X itself, i.e. plain Z_p arithmetic.  For w > 1 the
+    search starts at c0 = 1: a polynomial with c0 = 0 is divisible by X.
     """
     if w < 1:
         raise NotAdmissible(f"exponent must be >= 1, got {w}")
@@ -299,7 +300,8 @@ def field_create(p: int, w: int) -> FieldSpec:
     key = (p, w)
     if key not in _FIELD_CACHE:
         modulus = None
-        for tail in itertools.product(range(p), repeat=w):
+        tails = itertools.product(range(1 if w > 1 else 0, p), *[range(p)] * (w - 1))
+        for tail in tails:
             cand = list(tail) + [1]
             if _irreducible(cand, p):
                 modulus = tuple(cand)

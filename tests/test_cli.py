@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import lrctower
 from lrctower import cli
 
 
@@ -109,6 +112,41 @@ def test_code_pipeline(tmp_path):
     result = invoke("code", "repair", str(code_file), "--word", ",".join(symbols))
     assert result.exit_code == 0
     assert result.output.strip() == f"repaired[2] = {erased}"
+
+
+_NUMPY_PROBE = """
+import sys
+from click.testing import CliRunner
+from lrctower import cli
+
+def step(*args):
+    result = CliRunner().invoke(cli.main, list(args))
+    assert result.exit_code == 0, result.output
+    print(" ".join(args[:2]), "numpy" in sys.modules)
+
+print("import", "numpy" in sys.modules)
+step("bounds", "eval", "--bound", "main", "--q", "256", "--r", "2", "--delta", "0.5")
+step("bounds", "lists", "--q", "256", "--delta", "0.5")
+step("bounds", "lists", "--reference-sets")
+step("tower", "orbits", "--q", "9", "--m", "1", "--u", "1", "--v", "1")
+step("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1", "--out", "c.json")
+step("code", "repair", "c.json", "--word", "4,7,?,1,0,3")
+step("code", "verify", "c.json", "--distance")
+"""
+
+
+def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
+    src = os.path.dirname(os.path.dirname(lrctower.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "import False", "bounds eval False", "bounds lists False", "bounds lists False",
+        "tower orbits False", "code build False", "code repair False",
+        "code verify True",
+    ]
 
 
 def test_code_build_deterministic(tmp_path):

@@ -450,3 +450,105 @@ def test_all_codewords_matches_encode():
     for msg in itertools.product(range(9), repeat=code.k):
         expected.add(tuple(sym.index for sym in codes.encode(code, list(msg))))
     assert {tuple(row) for row in words.tolist()} == expected
+
+
+# -- elimination over canonical indices ---------------------------------------------
+
+def _reference_rref(rows):
+    """Gauss-Jordan with FieldElement arithmetic: (reduced rows, pivots)."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pick = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None)
+        if pick is None:
+            continue
+        rows[rank], rows[pick] = rows[pick], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [c * inv for c in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _random_matrix(rng, f, nrows, ncols):
+    """Random rows plus zero rows, duplicates and combinations of earlier rows."""
+    elems = list(f.elements())
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [f.zero()] * ncols
+        elif kind < 0.25 and rows:
+            row = list(rng.choice(rows))
+        elif kind < 0.5 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = rng.choice(elems), rng.choice(elems)
+            row = [ca * x + cb * y for x, y in zip(a, b)]
+        else:
+            row = [rng.choice(elems) for _ in range(ncols)]
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+SMALL_FIELDS = [(p, w) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                 53, 59, 61) for w in range(1, 7) if p**w <= 64]
+
+
+@pytest.mark.parametrize("p,w", SMALL_FIELDS)
+def test_elimination_matches_element_gauss_jordan(p, w):
+    f = F(p, w)
+    rng = random.Random(f"rref:{p}:{w}")
+    for _ in range(12):
+        ncols = rng.randint(1, 8)
+        rows = _random_matrix(rng, f, rng.randint(1, 7), ncols)
+        red, pivots = _reference_rref(rows)
+        assert codes.matrix_rank(rows) == len(pivots)
+        basis = codes.null_space(f, rows)
+        assert len(basis) == ncols - len(pivots)
+        for x in basis:
+            for row in rows:
+                dot = f.zero()
+                for a, b in zip(row, x):
+                    dot = dot + a * b
+                assert dot.is_zero()
+        free = [c for c in range(ncols) if c not in pivots]
+        expected = []
+        for fc in free:
+            vec = [f.zero()] * ncols
+            vec[fc] = f.one()
+            for i, pc in enumerate(pivots):
+                vec[pc] = -red[i][fc]
+            expected.append(vec)
+        assert basis == expected
+
+
+@pytest.mark.parametrize("p,w", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)])
+def test_verify_locality_algebraic_matches_span_oracle(p, w):
+    f = F(p, w)
+    rng = random.Random(f"span:{p}:{w}")
+
+    def in_span(columns, target):
+        return len(_reference_rref(columns)[1]) == len(_reference_rref(columns + [target])[1])
+
+    checked = 0
+    while checked < 10:
+        n, k = rng.randint(2, 7), rng.randint(1, 3)
+        gen = _random_matrix(rng, f, k, n)
+        if len(_reference_rref(gen)[1]) < k:
+            continue
+        cut = sorted(rng.sample(range(1, n), rng.randint(0, min(2, n - 1))))
+        groups = tuple(tuple(range(a, b)) for a, b in zip([0] + cut, cut + [n]))
+        code = codes.LinearCode(field=f, n=n, k=k, generator=tuple(map(tuple, gen)),
+                                repair_groups=groups)
+        cols = [[row[j] for row in gen] for j in range(n)]
+        expected = [in_span([cols[j] for j in code.group_of(i) if j != i], cols[i])
+                    for i in range(n)]
+        report = codes.verify_locality(code)
+        assert report.algebraic == expected
+        assert report.exhaustive == expected
+        checked += 1

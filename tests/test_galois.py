@@ -58,6 +58,50 @@ def test_field_create_is_deterministic():
     assert a is b  # cached
 
 
+def _remainder(num, den, p):
+    """num mod the monic den over Z_p, coefficient lists low degree first."""
+    num = list(num)
+    for i in range(len(num) - 1, len(den) - 2, -1):
+        c = num[i] % p
+        for j, dj in enumerate(den):
+            num[i - len(den) + 1 + j] -= c * dj
+    return [c % p for c in num[: len(den) - 1]]
+
+
+def _first_irreducible(p, w):
+    """First monic irreducible of degree w over the full, unskipped
+    enumeration of (c0, ..., c_{w-1}), by trial division."""
+    for tail in itertools.product(range(p), repeat=w):
+        cand = list(tail) + [1]
+        if not any(
+            not any(_remainder(cand, list(div) + [1], p))
+            for d in range(1, w // 2 + 1)
+            for div in itertools.product(range(p), repeat=d)
+        ):
+            return tuple(cand)
+
+
+def test_modulus_is_first_irreducible_of_the_full_enumeration():
+    small = [(p, w) for p in range(2, 4097) if galois._is_prime(p)
+             for w in range(1, 13) if p**w <= 4096]
+    assert len(small) == 604  # 564 primes, 40 proper prime powers
+    for p, w in small:
+        assert galois.field_create(p, w).modulus == _first_irreducible(p, w), (p, w)
+    reference = {
+        (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+        (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        (3, 6): (1, 0, 0, 0, 1, 1, 1),
+        (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+        (5, 4): (1, 0, 1, 1, 1),
+        (5, 6): (1, 0, 0, 0, 1, 1, 1),
+        (5, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+        (2, 1): (0, 1),
+    }
+    for (p, w), modulus in reference.items():
+        assert galois.field_create(p, w).modulus == modulus
+
+
 def test_moduli_are_irreducible_by_exhaustive_factor_scan():
     for p, w in [(2, 4), (3, 3), (5, 2), (7, 2)]:
         f = galois.field_create(p, w)
