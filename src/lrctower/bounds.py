@@ -287,12 +287,13 @@ def gv_derivative_sign(q: float, r: int, delta: float, s: float) -> int:
 
 
 def s0_window(q: float, r: int) -> tuple[float, float]:
-    """The window (1/(q-1), 1/(q-1) + 2^-r) that holds s0 at delta = 1/2.
+    """The window (1/(q-1), 1/(q-1) + 2^-r) that holds s0 at delta = 1/2,
+    its right end clipped to 1 since s0 lies in (0, 1].
 
     2^-r is taken as 0 from r = 1074 on, where it underflows.
     """
     left = 1.0 / (q - 1.0)
-    return left, left + (2.0 ** (-r) if r < 1074 else 0.0)
+    return left, min(1.0, left + (2.0 ** (-r) if r < 1074 else 0.0))
 
 
 def find_s0(q: float, r: int, delta: float) -> float:

@@ -15,10 +15,13 @@ import tempfile
 import click
 
 from . import bounds, codes, galois, tower
-from .errors import LrcError, SpecMismatch
+from .errors import LrcError, SpecMismatch, TooLarge
 
 #: the eight built-in (q, delta = 0.5) comparison configurations
 REFERENCE_QS = (2**8, 2**10, 2**12, 3**6, 3**8, 5**4, 5**6, 5**8)
+
+#: the most grid points `bounds sweep` evaluates
+STEPS_GUARD = 10**5
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -116,6 +119,8 @@ def bounds_sweep(ids, q, r, delta_min, delta_max, steps, out):
     id_list = [part.strip() for part in ids.split(",") if part.strip()]
     if steps < 2:
         raise click.UsageError("--steps must be >= 2")
+    if steps > STEPS_GUARD:
+        raise TooLarge(f"{steps} grid points exceed the guard {STEPS_GUARD}")
     grid = [
         delta_min + (delta_max - delta_min) * i / (steps - 1) for i in range(steps)
     ]

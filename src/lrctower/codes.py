@@ -2,8 +2,9 @@
 
 Two builders: `build_rational_lrc` evaluates the basis {t(y)^j * y^i} at the
 level-1 tower places, grouped by automorphism orbits, where t = L_W(y)^u is
-the orbit-invariant polynomial of degree r+1; `naive_lrc` augments any
-linear code with disjoint all-ones parity rows of weight r+1.
+the orbit-invariant polynomial of degree r+1 (checked there, per orbit);
+`naive_lrc` augments any linear code with disjoint all-ones parity rows of
+weight r+1.
 
 Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword projections), the
@@ -191,36 +192,17 @@ class LocalityReport:
 def good_function(spec: galois.FieldSpec, u: int, v: int) -> Poly:
     """t(y) = L_W(y)^u with L_W = prod_{a in W}(y - a); degree r+1 = u p^v.
 
-    Invariance t(c y + a) = t(y) for every subgroup element and every
-    evaluation point, plus constancy on orbits with distinct values across
-    orbits, is verified exhaustively before returning.
+    Only constructs t.  Its invariance under the subgroup is checked by
+    `build_rational_lrc`, on the orbits it builds anyway.
     """
-    group = tower.build_subgroup(spec, u, v)
-    W = galois.repair_subspace(spec, u, v)
-    lw = _poly_from_roots(spec, W)
+    lw = _poly_from_roots(spec, galois.repair_subspace(spec, u, v))
     t_poly: Poly = (spec.one(),)
     for _ in range(u):
         t_poly = _poly_mul(spec, t_poly, lw)
-    if len(t_poly) - 1 != group.order:  # pragma: no cover - structural
+    if len(t_poly) - 1 != u * spec.p**v:  # pragma: no cover - structural
         raise InvariantViolation(
-            f"degree {len(t_poly) - 1} != r+1 = {group.order}"
+            f"degree {len(t_poly) - 1} != r+1 = {u * spec.p**v}"
         )
-    places = tower.enumerate_places(spec, 1)
-    for pl in places:
-        y = pl.coords[0]
-        ty = poly_eval(t_poly, y)
-        for sigma in group:
-            if poly_eval(t_poly, sigma.c * y + sigma.a) != ty:
-                raise InvariantViolation("t is not invariant under the subgroup")
-    orbits = tower.orbit_partition(group, places)
-    orbit_values = []
-    for orbit in orbits:
-        vals = {poly_eval(t_poly, places[j].coords[0]) for j in orbit}
-        if len(vals) != 1:
-            raise InvariantViolation("t is not constant on an orbit")
-        orbit_values.append(vals.pop())
-    if len(set(orbit_values)) != len(orbit_values):
-        raise InvariantViolation("t collides on distinct orbits")
     return t_poly
 
 
@@ -228,7 +210,10 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     """Evaluation code over the level-1 places with repair groups = orbits.
 
     n = q - ell, k = r(s+1) exactly (rank-checked), designed distance
-    n - (r+1)s - (r-1).
+    n - (r+1)s - (r-1).  Each orbit is {sigma^-1(P) : sigma in G} for a
+    closure-checked G, so t is invariant under G exactly when it is
+    constant on every orbit; that, and distinct values across orbits, is
+    checked here before the generator is assembled.
     """
     group = tower.build_subgroup(spec, u, v)
     r = group.r
@@ -236,17 +221,21 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     t_poly = good_function(spec, u, v)
     places = tower.enumerate_places(spec, 1)
     orbits = tower.orbit_partition(group, places)
-    order = [j for orbit in orbits for j in orbit]
-    ys = [places[j].coords[0] for j in order]
+    ys = [places[j].coords[0] for orbit in orbits for j in orbit]
     tvals = [poly_eval(t_poly, y) for y in ys]
-    rows = [tuple((tv**j) * (y**i) for tv, y in zip(tvals, ys))
-            for j in range(s + 1) for i in range(r)]
-    k = r * (s + 1)
     groups = []
     start = 0
     for orbit in orbits:
-        groups.append(tuple(range(start, start + len(orbit))))
-        start += len(orbit)
+        end = start + len(orbit)
+        if len(set(tvals[start:end])) != 1:
+            raise InvariantViolation("t is not constant on an orbit")
+        groups.append(tuple(range(start, end)))
+        start = end
+    if len({tvals[g[0]] for g in groups}) != len(groups):
+        raise InvariantViolation("t collides on distinct orbits")
+    rows = [tuple((tv**j) * (y**i) for tv, y in zip(tvals, ys))
+            for j in range(s + 1) for i in range(r)]
+    k = r * (s + 1)
     return LinearCode(
         field=spec,
         n=n,

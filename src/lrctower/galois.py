@@ -84,7 +84,10 @@ def _digits(i: int, p: int, w: int) -> list[int]:
 
 def _index(coeffs: Sequence[int], p: int) -> int:
     """Canonical index sum coeffs[k] * p^k, each coefficient reduced mod p."""
-    return sum(_integer(c) % p * p**k for k, c in enumerate(coeffs))
+    i = 0
+    for c in reversed(coeffs):
+        i = i * p + _integer(c) % p
+    return i
 
 
 class FieldSpec:

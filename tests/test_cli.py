@@ -49,10 +49,14 @@ def test_bounds_lists_reference_sets():
 
 
 def test_bounds_s0():
-    for q, r in (("65536", "32"), ("4096", "62"), ("15625", "61")):
+    for q, r in (("65536", "32"), ("4096", "62"), ("15625", "61"), ("2", "1")):
         result = invoke("bounds", "s0", "--q", q, "--r", r)
         assert result.exit_code == 0
         assert "s0 = " in result.output
+        window = result.output.split("window = (")[1].split(")")[0]
+        left, right = (float(end) for end in window.split(","))
+        assert left == 1.0 / (float(q) - 1.0)
+        assert 0.0 < left <= right <= 1.0
 
 
 def test_sweep_csv_file(tmp_path):
@@ -186,6 +190,9 @@ def test_no_temp_files_left(tmp_path):
                  "DomainError", id="nan-q-sweep"),
     pytest.param(["bounds", "lists", "--q", str((10**9 + 7) ** 2)], "TooLarge",
                  id="huge-q"),
+    pytest.param(["bounds", "sweep", "--bounds", "main,gv", "--q", "729", "--r", "2",
+                  "--delta-min", "0", "--delta-max", "0.5", "--steps", "100000000"],
+                 "TooLarge", id="huge-steps"),
 ])
 def test_bad_input_is_a_one_line_error_with_exit_1(tmp_path, args, error):
     code = tmp_path / "c.json"

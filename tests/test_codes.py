@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -78,6 +79,40 @@ def test_good_function_orbit_values_distinct():
             assert len(vals) == 1
             values.append(vals.pop())
         assert len(set(values)) == len(values)
+
+
+@pytest.mark.parametrize("p,w,u,v", [(3, 2, 1, 1), (3, 2, 2, 1), (2, 4, 1, 2),
+                                     (5, 2, 2, 1)])
+def test_build_rejects_a_non_invariant_good_function(monkeypatch, p, w, u, v):
+    spec = F(p, w)
+    t = codes.good_function(spec, u, v)
+    t_plus_y = t[:1] + (t[1] + spec.one(),) + t[2:]  # same degree, not invariant
+    monkeypatch.setattr(codes, "good_function", lambda *args: t_plus_y)
+    with pytest.raises(InvariantViolation):
+        codes.build_rational_lrc(spec, u, v, 0)
+
+
+def test_build_rejects_a_good_function_that_merges_orbits(monkeypatch):
+    spec = F(3, 2)
+    monkeypatch.setattr(codes, "good_function", lambda *args: (spec.one(),))
+    with pytest.raises(InvariantViolation, match="collides"):
+        codes.build_rational_lrc(spec, 1, 1, 0)
+
+
+def test_build_constructs_each_level1_structure_once(monkeypatch):
+    calls = collections.Counter()
+    for module, name in ((tower, "build_subgroup"), (tower, "enumerate_places"),
+                         (tower, "orbit_partition"), (codes, "poly_eval")):
+        def counting(*args, _inner=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counting)
+    spec = F(2, 4)
+    codes.good_function(spec, 1, 2)
+    assert not calls  # good_function only constructs t
+    code = codes.build_rational_lrc(spec, 1, 2, 1)
+    assert calls == {"build_subgroup": 1, "enumerate_places": 1,
+                     "orbit_partition": 1, "poly_eval": code.n}
 
 
 # -- construction ---------------------------------------------------------------
