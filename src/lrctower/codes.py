@@ -6,6 +6,13 @@ the orbit-invariant polynomial of degree r+1 (checked there, per orbit);
 `naive_lrc` augments any linear code with disjoint all-ones parity rows of
 weight r+1.
 
+A code keeps its generator and y values as elements for the API; only
+`LinearCode.__post_init__` turns them into canonical indices (rejecting
+entries from another field), every operation runs on those, and elements
+reappear only in what the API returns.  One repair formula serves both
+builders: the erased symbol is sum_j lambda_j y_j over its group mates,
+with Lagrange weights at the y values, or lambda_j = -1 for naive codes.
+
 Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword projections), the
 minimum distance by an exact scan over all q^k codewords, and one-erasure
@@ -20,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import galois, tower
 from .errors import (
+    DivideByZero,
     InvariantViolation,
     LengthMismatch,
     LocalityTooSmall,
@@ -68,13 +76,11 @@ def _rref(f: galois.FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], 
     """Reduced row echelon form (on a copy) and pivot columns of a matrix of
     canonical indices, by Gauss-Jordan over the field's exp/log/Zech lists."""
     rows = [list(row) for row in rows]
-    if not rows:
-        return rows, []
     exp, log, zech = f._logs
     m = f.q - 1
     neg = log[f.p - 1]  # log(-1)
     pivots = []
-    for col in range(len(rows[0])):
+    for col in range(len(rows[0]) if rows else 0):
         rank = len(pivots)
         pick = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pick is None:
@@ -101,29 +107,62 @@ def _rref(f: galois.FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], 
     return rows, pivots
 
 
+def _indices(f: galois.FieldSpec, entries, ints: bool = False) -> tuple[int, ...]:
+    """Canonical indices of elements of f (with ints, also of indices in
+    [0, q)); SpecMismatch for anything else."""
+    if ints:
+        entries = [x if isinstance(x, Element) else f.from_index(int(x)) for x in entries]
+    if not all(isinstance(x, Element) and (x.field is f or x.field == f) for x in entries):
+        raise SpecMismatch(f"an entry is not an element of {f!r}")
+    return tuple(x.index for x in entries)
+
+
+def _dot(f: galois.FieldSpec, logs, xs) -> int:
+    """sum_j g^logs[j] * xs[j] over canonical indices, where g is the
+    field's primitive element and a log of -1 is a zero weight."""
+    exp, log, zech = f._logs
+    m = f.q - 1
+    acc = 0
+    for lw, x in zip(logs, xs):
+        if x and lw >= 0:
+            lt = lw + log[x]
+            if acc:
+                la = log[acc]
+                z = zech[(lt - la) % m]
+                acc = exp[la + z] if z >= 0 else 0
+            else:
+                acc = exp[lt]
+    return acc
+
+
+def _null_space(f: galois.FieldSpec, rows: list[list[int]]) -> list[list[int]]:
+    """Index basis of {x : M x^T = 0} for the index row matrix M, one vector
+    per free column."""
+    neg = f._logs[1][f.p - 1]  # log(-1)
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = _rref(f, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = _dot(f, (neg,), (row[fc],))  # -row[fc]
+        basis.append(vec)
+    return basis
+
+
 def matrix_rank(rows) -> int:
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
         return 0
-    return len(_rref(rows[0][0].field, [[e.index for e in r] for r in rows])[1])
+    f = rows[0][0].field
+    return len(_rref(f, [_indices(f, r) for r in rows])[1])
 
 
 def null_space(f: galois.FieldSpec, rows) -> list[list[Element]]:
     """Basis of {x : M x^T = 0} for the row matrix M, one vector per free column."""
-    rows = [[e.index for e in r] for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = _rref(f, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [f.zero()] * ncols
-        vec[fc] = f.one()
-        for rank_i, pc in enumerate(pivots):
-            vec[pc] = -Element(f, red[rank_i][fc])
-        basis.append(vec)
-    return basis
+    basis = _null_space(f, [_indices(f, r) for r in rows])
+    return [[Element(f, i) for i in vec] for vec in basis]
 
 
 # -- the code object -----------------------------------------------------------
@@ -134,6 +173,7 @@ class LinearCode:
 
     meta carries: construction ("rational-aut" | "naive" | free-form), r,
     d_lower, and the construction parameters (u, v, s) or source tag.
+    Operations read the indices taken at construction; do not mutate a code.
     """
 
     field: galois.FieldSpec
@@ -156,7 +196,9 @@ class LinearCode:
                 )
         if self.y_values is not None and len(self.y_values) != self.n:
             raise LengthMismatch(f"{len(self.y_values)} y values, expected n = {self.n}")
-        if matrix_rank(self.generator) != self.k:
+        self._rows = [_indices(self.field, row) for row in self.generator]
+        self._ys = None if self.y_values is None else _indices(self.field, self.y_values)
+        if len(_rref(self.field, self._rows)[1]) != self.k:
             raise RankDeficiency(f"generator rank below k = {self.k}")
         if self.repair_groups is not None:
             covered = sorted(i for g in self.repair_groups for i in g)
@@ -266,26 +308,15 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
         raise NotDivisible(f"(r+1) = {r + 1} does not divide n = {n}")
     if r * code.k < n:
         raise LocalityTooSmall(f"need r >= n/k = {n}/{code.k}")
-    parity_check = null_space(f, code.generator)
-    new_rows = []
-    for t in range(n // (r + 1)):
-        row = [f.zero()] * n
-        for idx in range(t * (r + 1), (t + 1) * (r + 1)):
-            row[idx] = f.one()
-        new_rows.append(row)
-    stacked = parity_check + new_rows
-    gen = null_space(f, stacked)
-    k2 = len(gen)
-    groups = tuple(
-        tuple(range(t * (r + 1), (t + 1) * (r + 1))) for t in range(n // (r + 1))
-    )
+    groups = tuple(tuple(range(t, t + r + 1)) for t in range(0, n, r + 1))
+    ones = [[int(j in g) for j in range(n)] for g in groups]
+    gen = _null_space(f, _null_space(f, code._rows) + ones)
     return LinearCode(
         field=f,
         n=n,
-        k=k2,
-        generator=tuple(tuple(row) for row in gen),
+        k=len(gen),
+        generator=tuple(tuple(Element(f, i) for i in row) for row in gen),
         repair_groups=groups,
-        y_values=None,
         meta={
             "construction": "naive",
             "source": code.meta.get("construction", "generic"),
@@ -297,33 +328,39 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
 
 # -- operations -----------------------------------------------------------------
 
-def _as_element(f: galois.FieldSpec, x) -> Element:
-    if isinstance(x, Element):
-        if x.field != f:
-            raise SpecMismatch("element from a different field")
-        return x
-    return f.from_index(int(x))
-
-
 def encode(code: LinearCode, message) -> tuple[Element, ...]:
     """message x generator; message entries are elements or canonical indices."""
     if len(message) != code.k:
         raise LengthMismatch(f"message length {len(message)} != k = {code.k}")
-    msg = [_as_element(code.field, m) for m in message]
-    word = [code.field.zero()] * code.n
-    for m, row in zip(msg, code.generator):
-        if m.is_zero():
-            continue
-        word = [w + m * g for w, g in zip(word, row)]
-    return tuple(word)
+    f = code.field
+    logs = [f._logs[1][m] for m in _indices(f, message, ints=True)]  # log(0) = -1
+    cols = zip(*code._rows) if code.k else [()] * code.n
+    return tuple(Element(f, _dot(f, logs, col)) for col in cols)
+
+
+def _lagrange_logs(f: galois.FieldSpec, x0: int, xs: list[int]) -> list[int]:
+    """Logs of the Lagrange weights prod_{m != j} (x0 - x_m) / (x_j - x_m),
+    -1 for a zero weight; DivideByZero when two x_j coincide."""
+    log = f._logs[1]
+    neg = log[f.p - 1]  # log(-1)
+    diff = [[log[_dot(f, (0, neg), (a, b))] for b in xs] for a in [x0] + xs]  # log(a - b)
+    logs = []
+    for j, row in enumerate(diff[1:]):
+        num, den = diff[0][:j] + diff[0][j + 1:], row[:j] + row[j + 1:]
+        if -1 in den:
+            raise DivideByZero("repeated y values in a repair group")
+        logs.append(-1 if -1 in num else (sum(num) - sum(den)) % (f.q - 1))
+    return logs
 
 
 def local_repair(code: LinearCode, word, idx: int) -> Element:
     """Recover the erased symbol at idx from the rest of its repair group.
 
-    Rational codes interpolate the degree <= r-1 polynomial through the
-    (y, symbol) pairs of the intact group members; naive codes use the
-    weight-(r+1) all-ones parity relation.
+    The symbol is sum_j lambda_j word[j] over the group mates j, whose
+    entries are elements or canonical indices.  Naive codes have
+    lambda_j = -1, their all-ones parity relation; otherwise the lambda_j
+    are the Lagrange weights at the y values, which interpolate the
+    degree <= r-1 polynomial through the group mates.
     """
     group = code.group_of(idx)
     others = [j for j in group if j != idx]
@@ -331,64 +368,46 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
     if missing:
         raise NotRepairable(f"group of {idx} has further erasures at {missing}")
     f = code.field
-    symbols = [_as_element(f, word[j]) for j in others]
+    symbols = _indices(f, [word[j] for j in others], ints=True)
     if code.meta.get("construction") == "naive":
-        total = f.zero()
-        for sym in symbols:
-            total = total + sym
-        return -total
-    if code.y_values is None:
+        logs = [f._logs[1][f.p - 1]] * len(others)  # log(-1)
+    elif code._ys is None:
         raise NoGroups("code carries no evaluation points for interpolation")
-    xs = [code.y_values[j] for j in others]
-    x0 = code.y_values[idx]
-    acc = f.zero()
-    for j, (xj, yj) in enumerate(zip(xs, symbols)):
-        num, den = f.one(), f.one()
-        for m, xm in enumerate(xs):
-            if m == j:
-                continue
-            num = num * (x0 - xm)
-            den = den * (xj - xm)
-        acc = acc + yj * num * den.inverse()
-    return acc
+    else:
+        logs = _lagrange_logs(f, code._ys[idx], [code._ys[j] for j in others])
+    return Element(f, _dot(f, logs, symbols))
 
 
-def _index_matrix(code: LinearCode):
+def _span(f: galois.FieldSpec, rows, n: int):
+    """The q^len(rows) combinations of the index rows as a numpy array, in
+    mixed-radix order: row 0 is the zero word, the last row's digit fastest."""
     import numpy as np
 
-    return np.array(
-        [[e.index for e in row] for row in code.generator], dtype=np.int32
-    )
+    add, mul, _ = f.tables()
+    words = np.zeros((1, n), dtype=np.int32)
+    for row in reversed(rows):
+        scal = mul[np.arange(f.q)[:, None], np.array(row, dtype=np.int32)[None, :]]
+        words = add[scal[:, None, :], words[None, :, :]].reshape(-1, n)
+    return words
 
 
 def all_codewords(code: LinearCode, limit: int = 1 << 18):
-    """All q^k codewords as a (q^k, n) numpy array of element indices.
-
-    Row order follows the mixed-radix message index with row 0 the zero word.
-    """
+    """All q^k codewords as a (q^k, n) numpy array of element indices, in
+    the mixed-radix message order of `_span` (row 0 the zero word)."""
     total = code.field.q**code.k
     if total > limit:
         raise TooLarge(f"q^k = {total} exceeds limit {limit}")
-    import numpy as np
-
-    add, mul, _ = code.field.tables()
-    G = _index_matrix(code)
-    q = code.field.q
-    words = np.zeros((1, code.n), dtype=np.int32)
-    for i in range(code.k - 1, -1, -1):
-        scal = mul[np.arange(q)[:, None], G[i][None, :]]
-        words = add[scal[:, None, :], words[None, :, :]].reshape(-1, code.n)
-    return words
+    return _span(code.field, code._rows, code.n)
 
 
 def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
 
-    Messages are walked with an odometer that reuses row sums; the last
-    few message digits are expanded as one vectorized block per step.
-    Raises TooLarge when q^k > limit; verify only d_lower by sampling then
-    (random codeword weights give a one-sided upper bound on d, never a
-    certificate).
+    The last few message digits span one block of at most 4096 words; each
+    word spanned by the leading digits is added to the whole block in one
+    vectorized step.  Raises TooLarge when q^k > limit; verify only d_lower
+    by sampling then (random codeword weights give a one-sided upper bound
+    on d, never a certificate).
     """
     q, k, n = code.field.q, code.k, code.n
     total = q**k
@@ -399,37 +418,17 @@ def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
         )
     import numpy as np
 
-    add, mul, _ = code.field.tables()
-    G = _index_matrix(code)
+    add = code.field.tables()[0]
     b = 1
     while b < k and q ** (b + 1) <= 4096:
         b += 1
-    block = np.zeros((1, n), dtype=np.int32)
-    for i in range(k - 1, k - b - 1, -1):
-        scal = mul[np.arange(q)[:, None], G[i][None, :]]
-        block = add[scal[:, None, :], block[None, :, :]].reshape(-1, n)
-    kp = k - b
-    smul = [mul[np.arange(q)[:, None], G[i][None, :]] for i in range(kp)]
-    digits = [0] * kp
-    partials = np.zeros((kp + 1, n), dtype=np.int32)
+    block = _span(code.field, code._rows[k - b:], n)
     best = n + 1
-    while True:
-        words = add[partials[kp][None, :], block]
-        weights = np.count_nonzero(words, axis=1)
-        if not any(digits):
+    for t, lead in enumerate(_span(code.field, code._rows[:k - b], n)):
+        weights = np.count_nonzero(add[lead[None, :], block], axis=1)
+        if not t:
             weights[0] = n + 1  # skip the all-zero codeword
-        w = int(weights.min())
-        if w < best:
-            best = w
-        i = kp - 1
-        while i >= 0 and digits[i] == q - 1:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        digits[i] += 1
-        for j in range(i, kp):
-            partials[j + 1] = add[partials[j], smul[j][digits[j]]]
+        best = min(best, int(weights.min()))
     return best
 
 
@@ -444,10 +443,9 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
     """
     if code.repair_groups is None:
         raise NoGroups("code carries no repair groups")
-    gen = [[e.index for e in row] for row in code.generator]
     algebraic = [False] * code.n
     for g in code.repair_groups:
-        red, pivots = _rref(code.field, [[row[j] for j in g] for row in gen])
+        red, pivots = _rref(code.field, [[row[j] for j in g] for row in code._rows])
         free = [c for c in range(len(g)) if c not in pivots]
         for c in free:
             algebraic[g[c]] = True

@@ -248,6 +248,84 @@ def test_repair_requires_groups():
         codes.local_repair(plain, [None, f2.one(), f2.one(), f2.one()], 0)
 
 
+def _lagrange_at(xs, ys, x0):
+    """Element-level Lagrange interpolation through (xs, ys), evaluated at x0."""
+    acc = x0.field.zero()
+    for j, (xj, yj) in enumerate(zip(xs, ys)):
+        term = yj
+        for m, xm in enumerate(xs):
+            if m != j:
+                term = term * (x0 - xm) * (xj - xm).inverse()
+        acc = acc + term
+    return acc
+
+
+def _random_word(rng, code, idx):
+    """A random (in general non-code) word mixing indices and elements, erased at idx."""
+    word = [rng.randrange(code.field.q) for _ in range(code.n)]
+    word = [code.field.from_index(x) if rng.random() < 0.5 else x for x in word]
+    word[idx] = None
+    return word
+
+
+def _as_elem(f, x):
+    return x if isinstance(x, galois.FieldElement) else f.from_index(x)
+
+
+@pytest.mark.parametrize("p,w,u,v,s", [(3, 2, 1, 1, 1), (3, 2, 2, 0, 2), (2, 4, 1, 2, 1),
+                                       (5, 2, 1, 1, 1), (2, 6, 1, 2, 1), (2, 8, 1, 4, 0),
+                                       (2, 8, 3, 0, 1)])
+def test_repair_of_any_word_is_lagrange_interpolation(p, w, u, v, s):
+    code = codes.build_rational_lrc(F(p, w), u, v, s)
+    rng = random.Random(f"lagrange:{p}:{w}:{u}:{v}:{s}")
+    for _ in range(40):
+        idx = rng.randrange(code.n)
+        word = _random_word(rng, code, idx)
+        mates = [j for j in code.group_of(idx) if j != idx]
+        expected = _lagrange_at([code.y_values[j] for j in mates],
+                                [_as_elem(code.field, word[j]) for j in mates],
+                                code.y_values[idx])
+        assert codes.local_repair(code, word, idx) == expected
+
+
+@pytest.mark.parametrize("p,w,u,v,s", [(3, 2, 1, 1, 1), (5, 2, 1, 1, 1), (7, 2, 3, 0, 1)])
+def test_repair_interpolates_through_zero_evaluation_points(p, w, u, v, s):
+    # rational codes never evaluate at 0; hand-made y values with 0 in
+    # every group reach the zero cases of the weight computation
+    base = codes.build_rational_lrc(F(p, w), u, v, s)
+    rng = random.Random(f"zero-y:{p}:{w}")
+    ys = [None] * base.n
+    for g in base.repair_groups:
+        for j, y in zip(g, [0] + rng.sample(range(1, base.field.q), len(g) - 1)):
+            ys[j] = base.field.from_index(y)
+    code = codes.LinearCode(field=base.field, n=base.n, k=base.k, generator=base.generator,
+                            repair_groups=base.repair_groups, y_values=tuple(ys),
+                            meta=base.meta)
+    for idx in range(code.n):
+        word = _random_word(rng, code, idx)
+        mates = [j for j in code.group_of(idx) if j != idx]
+        expected = _lagrange_at([ys[j] for j in mates],
+                                [_as_elem(code.field, word[j]) for j in mates], ys[idx])
+        assert codes.local_repair(code, word, idx) == expected
+
+
+@pytest.mark.parametrize("source,r", [((3, 2, 1, 1, 1), 2), ((2, 4, 3, 0, 2), 3),
+                                      ((5, 2, 1, 1, 1), 4), (None, 2)])
+def test_repair_of_any_word_on_naive_codes_is_minus_the_group_sum(source, r):
+    base = _code_633() if source is None else codes.build_rational_lrc(F(*source[:2]),
+                                                                      *source[2:])
+    code = codes.naive_lrc(base, r)
+    rng = random.Random(f"naive-repair:{source}:{r}")
+    for _ in range(40):
+        idx = rng.randrange(code.n)
+        word = _random_word(rng, code, idx)
+        total = code.field.zero()
+        for j in code.group_of(idx):
+            if j != idx:
+                total = total + _as_elem(code.field, word[j])
+        assert codes.local_repair(code, word, idx) == -total
+
+
 # -- minimum distance -----------------------------------------------------------------
 
 def test_min_distance_matches_oracle_small_codes():
@@ -279,6 +357,27 @@ def test_min_distance_at_least_designed():
                             (5, 2, 1, 1, 0), (5, 2, 2, 0, 2)]:
         code = codes.build_rational_lrc(F(p, w), u, v, s)
         assert codes.min_distance(code, limit=1 << 24) >= code.meta["d_lower"]
+
+
+def _random_full_rank_code(rng, f, k, n):
+    elems = list(f.elements())
+    while True:
+        gen = tuple(tuple(rng.choice(elems) for _ in range(n)) for _ in range(k))
+        if codes.matrix_rank(gen) == k:
+            return codes.LinearCode(field=f, n=n, k=k, generator=gen)
+
+
+# k = 1, 2, 3: q^k <= 4096, so one block spans every message and the
+# leading span is the zero word alone; the extra k add a leading span
+@pytest.mark.parametrize("p,w,extra", [(2, 1, (13,)), (3, 1, (8,)), (2, 2, ()), (5, 1, ()),
+                                       (7, 1, ()), (2, 3, ()), (3, 2, (4,)), (11, 1, ()),
+                                       (13, 1, ()), (2, 4, ())])
+def test_min_distance_matches_oracle_on_random_codes(p, w, extra):
+    f = F(p, w)
+    rng = random.Random(f"distance:{p}:{w}")
+    for k in (1, 2, 3) + extra:
+        code = _random_full_rank_code(rng, f, k, k + rng.randint(0, 3))
+        assert codes.min_distance(code) == brute_distance(code)
 
 
 # -- locality verification --------------------------------------------------------------
@@ -476,6 +575,18 @@ def test_from_json_rejects_non_json_text():
         codes.from_json("{not json")
     with pytest.raises(SpecMismatch):
         codes.from_json("[1, 2]")
+
+
+def test_linear_code_rejects_entries_from_another_field():
+    f9, f3 = F(3, 2), F(3, 1)
+    gen = ((f3.one(), f3.zero(), f3.one()), (f3.zero(), f3.one(), f3.one()))
+    with pytest.raises(SpecMismatch):
+        codes.LinearCode(field=f9, n=3, k=2, generator=gen)
+    gen9 = tuple(tuple(f9.from_index(e.index) for e in row) for row in gen)
+    codes.LinearCode(field=f9, n=3, k=2, generator=gen9)
+    with pytest.raises(SpecMismatch):
+        codes.LinearCode(field=f9, n=3, k=2, generator=gen9,
+                         y_values=(f3.zero(), f3.one(), f3.from_index(2)))
 
 
 def test_all_codewords_matches_encode():
