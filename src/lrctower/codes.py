@@ -6,12 +6,15 @@ the orbit-invariant polynomial of degree r+1 (checked there, per orbit);
 `naive_lrc` augments any linear code with disjoint all-ones parity rows of
 weight r+1.
 
-A code keeps its generator and y values as elements for the API; only
+A code keeps its generator and y values as elements for the API;
 `LinearCode.__post_init__` turns them into canonical indices (rejecting
 entries from another field), every operation runs on those, and elements
-reappear only in what the API returns.  One repair formula serves both
-builders: the erased symbol is sum_j lambda_j y_j over its group mates,
-with Lagrange weights at the y values, or lambda_j = -1 for naive codes.
+reappear only in what the API returns.  The level-1 builder works on
+indices too (t by Horner's rule, the rows as running products of logs),
+and `from_json` reads each coefficient list in one pass.  One repair
+formula serves both builders: the erased symbol is sum_j lambda_j y_j
+over its group mates, with Lagrange weights at the y values (kept per
+coordinate after the first repair), or lambda_j = -1 for naive codes.
 
 Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword projections), the
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from . import galois, tower
 from .errors import (
     DivideByZero,
+    DomainError,
     InvariantViolation,
     LengthMismatch,
     LocalityTooSmall,
@@ -44,30 +48,39 @@ Element = galois.FieldElement
 Poly = tuple[Element, ...]
 
 
-# -- polynomial helpers (coefficients low degree first) ------------------------
+# -- polynomial helpers (index coefficients, low degree first) ----------------
 
-def _poly_mul(f: galois.FieldSpec, a: Poly, b: Poly) -> Poly:
-    out = [f.zero()] * (len(a) + len(b) - 1)
+def _poly_mul(f: galois.FieldSpec, a: list[int], b: list[int]) -> list[int]:
+    add, mul = galois.index_ops(f)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return tuple(out)
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = add(out[i + j], mul(ca, cb))
+    return out
 
 
-def _poly_from_roots(f: galois.FieldSpec, roots) -> Poly:
-    poly: Poly = (f.one(),)
+def _poly_from_roots(f: galois.FieldSpec, roots: list[int]) -> list[int]:
+    mul = galois.index_ops(f)[1]
+    poly = [1]
     for root in roots:
-        poly = _poly_mul(f, poly, (-root, f.one()))
+        poly = _poly_mul(f, poly, [mul(root, f.p - 1), 1])  # y - root
     return poly
 
 
-def poly_eval(poly: Poly, x: Element) -> Element:
-    acc = x.field.zero()
+def _horner(f: galois.FieldSpec, poly: list[int], x: int) -> int:
+    """The index of poly(x), for index coefficients and an index x."""
+    add, mul = galois.index_ops(f)
+    acc = 0
     for c in reversed(poly):
-        acc = acc * x + c
+        acc = add(mul(acc, x), c)
     return acc
+
+
+def poly_eval(poly: Poly, x: Element) -> Element:
+    """poly(x) for element coefficients (low degree first) and an element x."""
+    f = x.field
+    return Element(f, _horner(f, _indices(f, poly), x.index))
 
 
 # -- exact linear algebra over a FieldSpec -------------------------------------
@@ -115,6 +128,11 @@ def _indices(f: galois.FieldSpec, entries, ints: bool = False) -> tuple[int, ...
     if not all(isinstance(x, Element) and (x.field is f or x.field == f) for x in entries):
         raise SpecMismatch(f"an entry is not an element of {f!r}")
     return tuple(x.index for x in entries)
+
+
+def _elements(f: galois.FieldSpec, rows) -> tuple[tuple[Element, ...], ...]:
+    """The index rows as rows of elements of f."""
+    return tuple(tuple(Element(f, i) for i in row) for row in rows)
 
 
 def _dot(f: galois.FieldSpec, logs, xs) -> int:
@@ -198,6 +216,7 @@ class LinearCode:
             raise LengthMismatch(f"{len(self.y_values)} y values, expected n = {self.n}")
         self._rows = [_indices(self.field, row) for row in self.generator]
         self._ys = None if self.y_values is None else _indices(self.field, self.y_values)
+        self._weight_logs: dict[int, list[int]] = {}  # repair weights per coordinate
         if len(_rref(self.field, self._rows)[1]) != self.k:
             raise RankDeficiency(f"generator rank below k = {self.k}")
         if self.repair_groups is not None:
@@ -237,15 +256,34 @@ def good_function(spec: galois.FieldSpec, u: int, v: int) -> Poly:
     Only constructs t.  Its invariance under the subgroup is checked by
     `build_rational_lrc`, on the orbits it builds anyway.
     """
-    lw = _poly_from_roots(spec, galois.repair_subspace(spec, u, v))
-    t_poly: Poly = (spec.one(),)
+    lw = _poly_from_roots(spec, [a.index for a in galois.repair_subspace(spec, u, v)])
+    t_poly = [1]
     for _ in range(u):
         t_poly = _poly_mul(spec, t_poly, lw)
     if len(t_poly) - 1 != u * spec.p**v:  # pragma: no cover - structural
         raise InvariantViolation(
             f"degree {len(t_poly) - 1} != r+1 = {u * spec.p**v}"
         )
-    return t_poly
+    return tuple(Element(spec, c) for c in t_poly)
+
+
+def _evaluation_rows(f: galois.FieldSpec, tvals: list[int], ys: list[int],
+                     r: int, s: int) -> list[list[int]]:
+    """Index rows t^j * y^i (j <= s, i < r, j outer) at the evaluation points,
+    as running products of logs; a zero t value has log -1 (t^0 = 1 still)."""
+    exp, log, _ = f._logs
+    m = f.q - 1
+    lys = [log[y] for y in ys]  # places exclude the kernel, so y != 0
+    lts = [log[t] for t in tvals]
+    rows = []
+    tpow = [0] * len(ys)  # logs of t^j
+    for _ in range(s + 1):
+        cur = tpow
+        for _ in range(r):
+            rows.append([exp[a] if a >= 0 else 0 for a in cur])
+            cur = [(a + b) % m if a >= 0 else -1 for a, b in zip(cur, lys)]
+        tpow = [(a + b) % m if a >= 0 and b >= 0 else -1 for a, b in zip(tpow, lts)]
+    return rows
 
 
 def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> LinearCode:
@@ -260,11 +298,11 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     group = tower.build_subgroup(spec, u, v)
     r = group.r
     n, _, d_lb = tower.thm34_params(spec, 1, r, s)
-    t_poly = good_function(spec, u, v)
+    t_poly = _indices(spec, good_function(spec, u, v))
     places = tower.enumerate_places(spec, 1)
     orbits = tower.orbit_partition(group, places)
-    ys = [places[j].coords[0] for orbit in orbits for j in orbit]
-    tvals = [poly_eval(t_poly, y) for y in ys]
+    ys = [places[j].coords[0].index for orbit in orbits for j in orbit]
+    tvals = [_horner(spec, t_poly, y) for y in ys]
     groups = []
     start = 0
     for orbit in orbits:
@@ -275,16 +313,14 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
         start = end
     if len({tvals[g[0]] for g in groups}) != len(groups):
         raise InvariantViolation("t collides on distinct orbits")
-    rows = [tuple((tv**j) * (y**i) for tv, y in zip(tvals, ys))
-            for j in range(s + 1) for i in range(r)]
-    k = r * (s + 1)
+    rows = _evaluation_rows(spec, tvals, ys, r, s)
     return LinearCode(
         field=spec,
         n=n,
-        k=k,
-        generator=tuple(rows),
+        k=r * (s + 1),
+        generator=_elements(spec, rows),
         repair_groups=tuple(groups),
-        y_values=tuple(ys),
+        y_values=tuple(Element(spec, y) for y in ys),
         meta={
             "construction": "rational-aut",
             "u": u,
@@ -315,7 +351,7 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
         field=f,
         n=n,
         k=len(gen),
-        generator=tuple(tuple(Element(f, i) for i in row) for row in gen),
+        generator=_elements(f, gen),
         repair_groups=groups,
         meta={
             "construction": "naive",
@@ -360,7 +396,8 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
     entries are elements or canonical indices.  Naive codes have
     lambda_j = -1, their all-ones parity relation; otherwise the lambda_j
     are the Lagrange weights at the y values, which interpolate the
-    degree <= r-1 polynomial through the group mates.
+    degree <= r-1 polynomial through the group mates.  The weights of a
+    coordinate are computed on its first repair and kept on the code.
     """
     group = code.group_of(idx)
     others = [j for j in group if j != idx]
@@ -369,12 +406,15 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
         raise NotRepairable(f"group of {idx} has further erasures at {missing}")
     f = code.field
     symbols = _indices(f, [word[j] for j in others], ints=True)
-    if code.meta.get("construction") == "naive":
-        logs = [f._logs[1][f.p - 1]] * len(others)  # log(-1)
-    elif code._ys is None:
-        raise NoGroups("code carries no evaluation points for interpolation")
-    else:
-        logs = _lagrange_logs(f, code._ys[idx], [code._ys[j] for j in others])
+    logs = code._weight_logs.get(idx)
+    if logs is None:
+        if code.meta.get("construction") == "naive":
+            logs = [f._logs[1][f.p - 1]] * len(others)  # log(-1)
+        elif code._ys is None:
+            raise NoGroups("code carries no evaluation points for interpolation")
+        else:
+            logs = _lagrange_logs(f, code._ys[idx], [code._ys[j] for j in others])
+        code._weight_logs[idx] = logs
     return Element(f, _dot(f, logs, symbols))
 
 
@@ -401,7 +441,8 @@ def all_codewords(code: LinearCode, limit: int = 1 << 18):
 
 
 def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
-    """Exact minimum Hamming weight over all q^k - 1 nonzero codewords.
+    """Exact minimum Hamming weight over all q^k - 1 nonzero codewords;
+    DomainError for k = 0, where there is none.
 
     The last few message digits span one block of at most 4096 words; each
     word spanned by the leading digits is added to the whole block in one
@@ -410,6 +451,8 @@ def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
     on d, never a certificate).
     """
     q, k, n = code.field.q, code.k, code.n
+    if not k:
+        raise DomainError(f"the [{n}, 0] code has no nonzero codeword, so no minimum distance")
     total = q**k
     if total > limit:
         raise TooLarge(
@@ -502,6 +545,23 @@ def to_json(code: LinearCode) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _decode(f: galois.FieldSpec, coefficient_lists) -> tuple[Element, ...]:
+    """Elements of f from their coefficient lists (low degree first), each
+    read in one pass; SpecMismatch unless it holds w integers in [0, p)."""
+    p, w = f.p, f.w
+    out = []
+    for coeffs in coefficient_lists:
+        if len(coeffs) != w:
+            raise SpecMismatch(f"expected {w} coefficients, got {len(coeffs)}")
+        i = 0
+        for c in reversed(coeffs):
+            if type(c) is not int or not 0 <= c < p:
+                raise SpecMismatch(f"coefficient {c!r} is not an integer in [0, {p})")
+            i = i * p + c
+        out.append(Element(f, i))
+    return tuple(out)
+
+
 def from_json(data) -> LinearCode:
     """Rebuild a code from its JSON document (string or parsed dict); raises
     SpecMismatch on malformed input and LengthMismatch on a wrong length."""
@@ -509,19 +569,13 @@ def from_json(data) -> LinearCode:
         if isinstance(data, (str, bytes)):
             data = json.loads(data)
         spec = galois.field_from_json(data["field"])
-        gen = tuple(
-            tuple(spec.element(c) for c in row) for row in data["generator"]
-        )
+        gen = tuple(_decode(spec, row) for row in data["generator"])
         groups = (
             tuple(tuple(g) for g in data["repair_groups"])
             if data.get("repair_groups") is not None
             else None
         )
-        ys = (
-            tuple(spec.element(c) for c in data["y_values"])
-            if data.get("y_values") is not None
-            else None
-        )
+        ys = _decode(spec, data["y_values"]) if data.get("y_values") is not None else None
         meta = {
             "construction": data.get("construction", "generic"),
             "r": None if data.get("r") is None else int(data["r"]),

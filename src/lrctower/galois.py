@@ -336,6 +336,23 @@ def _require_square(spec: FieldSpec) -> int:
     return spec.ell
 
 
+def index_ops(spec: FieldSpec):
+    """(add, mul) on canonical indices, over the field's exp/log/Zech lists."""
+    exp, log, zech = spec._logs
+    m = spec.q - 1
+
+    def add(i: int, j: int) -> int:
+        if not (i and j):
+            return i or j
+        z = zech[(log[j] - log[i]) % m]
+        return exp[log[i] + z] if z >= 0 else 0
+
+    def mul(i: int, j: int) -> int:
+        return exp[log[i] + log[j]] if i and j else 0
+
+    return add, mul
+
+
 def artin_schreier_kernel(spec: FieldSpec) -> list[FieldElement]:
     """All a in GF(q) with a^ell + a = 0, in canonical order (size ell)."""
     ell = _require_square(spec)

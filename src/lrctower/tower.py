@@ -6,12 +6,18 @@ for i >= 2.  The automorphisms acting on these places are the maps
 y_i -> c y_i (i < m), y_m -> c y_m + a with c in F_ell^* and a in the
 additive kernel; subgroups of order u * p^v are assembled from a unit
 subgroup H and a repair subspace W.
+
+Subgroups, place enumeration and orbits run over canonical indices (index
+pairs (c, a) and index tuples), with every structural check kept there;
+`TowerPlace`, `AutMap` and `AutSubgroup.elements` are the element-level
+boundary types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, gcd
 
 from . import galois
@@ -64,32 +70,53 @@ def aut_inverse(s: AutMap) -> AutMap:
 
 
 class AutSubgroup:
-    """Subgroup of order u * p^v: all (c, a) with c in H, a in W."""
+    """Subgroup of order u * p^v: all (c, a) with c in H, a in W.
+
+    Held as its sorted (c, a) canonical index pairs, which the constructor
+    checks form a group of the expected order: that many distinct pairs,
+    each c a unit, the identity, every inverse and the full O(|G|^2)
+    closure.  `elements` is the AutMap view of the same pairs.
+    """
 
     def __init__(self, spec: galois.FieldSpec, u: int, v: int,
-                 elements: list[AutMap]):
+                 pairs: list[tuple[int, int]]):
         self.spec = spec
         self.u = u
         self.v = v
         self.order = u * spec.p**v
-        self.elements = sorted(elements, key=AutMap.key)
+        self.pairs = sorted(pairs)
         self._validate()
 
     def _validate(self):
-        if len(self.elements) != self.order:
+        pairs, q = self.pairs, self.spec.q
+        members = set(pairs)
+        if len(members) != self.order or len(pairs) != self.order:
             raise InvariantViolation(
-                f"group has {len(self.elements)} elements, expected {self.order}"
+                f"group has {len(pairs)} elements ({len(members)} distinct), "
+                f"expected {self.order}"
             )
-        members = set(self.elements)
-        identity = AutMap(self.spec.one(), self.spec.zero())
-        if identity not in members:
+        if not all(0 < c < q and 0 <= a < q for c, a in pairs):
+            raise InvariantViolation("a pair is not a unit c and an element a")
+        if (1, 0) not in members:
             raise InvariantViolation("identity missing from subgroup")
-        for s1 in self.elements:
-            if aut_inverse(s1) not in members:
-                raise InvariantViolation(f"inverse of {s1} missing")
-            for s2 in self.elements:
-                if compose(s1, s2) not in members:
-                    raise InvariantViolation(f"{s1} o {s2} escapes the subgroup")
+        exp, log, _ = self.spec._logs
+        add, _ = galois.index_ops(self.spec)
+        m, neg = q - 1, log[self.spec.p - 1]  # log(-1)
+        logs = [(log[c], log[a]) for c, a in pairs]  # log(0) = -1
+        for (c1, a1), (lc1, la1) in zip(pairs, logs):
+            inverse = (exp[m - lc1], exp[(la1 - lc1 + neg) % m] if a1 else 0)  # (1/c, -a/c)
+            if inverse not in members:
+                raise InvariantViolation(f"inverse of {(c1, a1)} missing")
+            for (c2, a2), (lc2, la2) in zip(pairs, logs):
+                # (c1, a1) o (c2, a2) = (c1 c2, c1 a2 + a1)
+                if (exp[lc1 + lc2], add(exp[lc1 + la2] if a2 else 0, a1)) not in members:
+                    raise InvariantViolation(f"{(c1, a1)} o {(c2, a2)} escapes the subgroup")
+
+    @cached_property
+    def elements(self) -> list[AutMap]:
+        f = self.spec
+        return [AutMap(galois.FieldElement(f, c), galois.FieldElement(f, a))
+                for c, a in self.pairs]
 
     @property
     def r(self) -> int:
@@ -102,13 +129,36 @@ class AutSubgroup:
         return self.order
 
 
-def _kernel_image_preimages(spec: galois.FieldSpec) -> dict:
-    """Map v -> sorted solutions x of x^ell + x = v (exactly ell each)."""
+def _place_check(spec: galois.FieldSpec):
+    """(norm, step, failure) over canonical indices: norm(x) = x^ell + x,
+    step(x) = x^ell / (x^(ell-1) + 1), and failure(coords) says why the index
+    tuple is not a rational place (validate_place's equations), or is None."""
     ell = spec.ell
-    pre: dict[int, list[galois.FieldElement]] = {}
-    for x in spec.elements():
-        pre.setdefault((x**ell + x).index, []).append(x)
-    return pre
+    exp, log, _ = spec._logs
+    add, mul = galois.index_ops(spec)
+    m = spec.q - 1
+
+    def power(x: int, e: int) -> int:  # e >= 1
+        return exp[log[x] * e % m] if x else 0
+
+    def norm(x: int) -> int:
+        return add(power(x, ell), x)
+
+    def step(x: int) -> int:  # -1, no element, where the denominator is 0
+        den = add(power(x, ell - 1), 1)
+        return mul(power(x, ell), exp[m - log[den]]) if den else -1
+
+    def failure(coords: tuple[int, ...]) -> str | None:
+        if not norm(coords[0]):
+            return "first coordinate lies in the additive kernel"
+        for i in range(1, len(coords)):
+            prev, cur = coords[i - 1], coords[i]
+            # cross-multiplied recursion check, denominator-free
+            if mul(norm(cur), add(power(prev, ell - 1), 1)) != power(prev, ell):
+                return f"recursion fails at coordinate {i + 1}"
+        return None
+
+    return norm, step, failure
 
 
 def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
@@ -121,41 +171,35 @@ def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     expected = ell ** (m - 1) * (q - ell)
     if expected > PLACE_GUARD:
         raise TooLarge(f"{expected} places exceed the guard {PLACE_GUARD}")
-    pre = _kernel_image_preimages(spec)
-    level = [(a,) for a in spec.elements() if not (a**ell + a).is_zero()]
+    norm, step, _ = _place_check(spec)
+    pre: dict[int, list[int]] = {}  # v -> the ell solutions x of x^ell + x = v
+    for x in range(q):
+        pre.setdefault(norm(x), []).append(x)
+    level = [(a,) for a in range(q) if norm(a)]
     for _ in range(m - 1):
         nxt = []
         for coords in level:
-            prev = coords[-1]
-            rhs = (prev**ell) * (prev ** (ell - 1) + spec.one()).inverse()
-            sols = pre.get(rhs.index, [])
+            sols = pre.get(step(coords[-1]), [])
             if len(sols) != ell:  # pragma: no cover - structural
                 raise InvariantViolation(
                     f"step equation has {len(sols)} solutions, expected {ell}"
                 )
             nxt.extend(coords + (s,) for s in sols)
         level = nxt
-    places = [TowerPlace(m, c) for c in level]
-    places.sort(key=TowerPlace.key)
-    if len(places) != expected:  # pragma: no cover - structural
-        raise InvariantViolation(f"{len(places)} places, expected {expected}")
-    return places
+    if len(level) != expected:  # pragma: no cover - structural
+        raise InvariantViolation(f"{len(level)} places, expected {expected}")
+    level.sort()
+    elems = [galois.FieldElement(spec, x) for x in range(q)]
+    return [TowerPlace(m, tuple(elems[x] for x in coords)) for coords in level]
 
 
 def validate_place(spec: galois.FieldSpec, place: TowerPlace) -> None:
     """Raise InvariantViolation unless the coordinates satisfy the recursion."""
-    ell = spec.ell
-    if ell is None:
+    if spec.ell is None:
         raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
-    a1 = place.coords[0]
-    if (a1**ell + a1).is_zero():
-        raise InvariantViolation("first coordinate lies in the additive kernel")
-    for i in range(1, len(place.coords)):
-        prev, cur = place.coords[i - 1], place.coords[i]
-        # cross-multiplied recursion check, denominator-free
-        lhs = (cur**ell + cur) * (prev ** (ell - 1) + spec.one())
-        if lhs != prev**ell:
-            raise InvariantViolation(f"recursion fails at coordinate {i + 1}")
+    failure = _place_check(spec)[2](place.key())
+    if failure:
+        raise InvariantViolation(failure)
 
 
 def genus(spec: galois.FieldSpec, m: int) -> int:
@@ -196,8 +240,7 @@ def build_subgroup(spec: galois.FieldSpec, u: int, v: int) -> AutSubgroup:
     galois.check_admissible(spec, u, v)
     H = galois.unit_subgroup(spec, u)
     W = galois.repair_subspace(spec, u, v)
-    elements = [AutMap(c, a) for c in H for a in W]
-    return AutSubgroup(spec, u, v, elements)
+    return AutSubgroup(spec, u, v, [(c.index, a.index) for c in H for a in W])
 
 
 def act_inverse(sigma: AutMap, place: TowerPlace) -> TowerPlace:
@@ -214,20 +257,37 @@ def orbit_partition(group: AutSubgroup,
     """Partition the full place list into group orbits.
 
     Returns index lists into `places`; orbits are sorted by their smallest
-    member and each orbit is sorted in canonical place order.  Every orbit
-    must have exactly |group| members with pairwise distinct last
-    coordinates, the structural facts the repair groups rely on.
+    member and each orbit is sorted in canonical place order.  The action
+    of `act_inverse` runs on index tuples, and each image is checked
+    against the tower recursion as `act_inverse` checks it.  The places
+    must be distinct, and every orbit must have exactly |group| members
+    with pairwise distinct last coordinates, the structural facts the
+    repair groups rely on.
     """
-    index_of = {pl.key(): i for i, pl in enumerate(places)}
+    spec = group.spec
+    exp, log, _ = spec._logs
+    add, _ = galois.index_ops(spec)
+    failure = _place_check(spec)[2]
+    keys = [pl.key() for pl in places]
+    index_of = {key: i for i, key in enumerate(keys)}
+    if len(index_of) != len(keys):
+        raise InvariantViolation("the place list repeats a place")
     seen = [False] * len(places)
     orbits: list[list[int]] = []
-    for i, place in enumerate(places):
+    for i, key in enumerate(keys):
         if seen[i]:
             continue
+        logs = [log[x] for x in key]  # log(0) = -1
         members = set()
-        for sigma in group:
-            img = act_inverse(sigma, place)
-            j = index_of.get(img.key())
+        for c, a in group.pairs:
+            lc = log[c]
+            img = [exp[lc + lx] if lx >= 0 else 0 for lx in logs]
+            img[-1] = add(img[-1], a)
+            img = tuple(img)
+            why = failure(img)
+            if why:
+                raise InvariantViolation(f"image of place {i}: {why}")
+            j = index_of.get(img)
             if j is None:  # pragma: no cover - structural
                 raise InvariantViolation("orbit left the place list")
             members.add(j)
@@ -236,8 +296,7 @@ def orbit_partition(group: AutSubgroup,
                 f"orbit of place {i} has {len(members)} members, "
                 f"expected {group.order}"
             )
-        last = {places[j].coords[-1].index for j in members}
-        if len(last) != group.order:
+        if len({keys[j][-1] for j in members}) != group.order:
             raise InvariantViolation(
                 f"orbit of place {i} repeats a last coordinate"
             )

@@ -208,3 +208,18 @@ def test_bad_input_is_a_one_line_error_with_exit_1(tmp_path, args, error):
     assert isinstance(result.exception, SystemExit)  # not a traceback
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{error}: ")
+
+
+def test_verify_distance_of_a_k0_code_is_a_one_line_error(tmp_path):
+    code = tmp_path / "c.json"
+    invoke("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1",
+           "--out", str(code))
+    doc = json.loads(code.read_text())
+    doc.update(k=0, generator=[])
+    code.write_text(json.dumps(doc))
+    result = invoke("code", "verify", str(code), "--distance")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert "distance:" not in result.stdout  # no "d=n+1 pass"
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("DomainError: ")

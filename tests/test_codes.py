@@ -1,6 +1,8 @@
 import collections
 import itertools
 import json
+import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ import pytest
 from lrctower import bounds, codes, galois, tower
 from lrctower.errors import (
     DistanceNonpositive,
+    DivideByZero,
+    DomainError,
     InvariantViolation,
     LengthMismatch,
     LocalityTooSmall,
@@ -102,7 +106,7 @@ def test_build_rejects_a_good_function_that_merges_orbits(monkeypatch):
 def test_build_constructs_each_level1_structure_once(monkeypatch):
     calls = collections.Counter()
     for module, name in ((tower, "build_subgroup"), (tower, "enumerate_places"),
-                         (tower, "orbit_partition"), (codes, "poly_eval")):
+                         (tower, "orbit_partition"), (codes, "_horner")):
         def counting(*args, _inner=getattr(module, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
@@ -112,7 +116,7 @@ def test_build_constructs_each_level1_structure_once(monkeypatch):
     assert not calls  # good_function only constructs t
     code = codes.build_rational_lrc(spec, 1, 2, 1)
     assert calls == {"build_subgroup": 1, "enumerate_places": 1,
-                     "orbit_partition": 1, "poly_eval": code.n}
+                     "orbit_partition": 1, "_horner": code.n}
 
 
 # -- construction ---------------------------------------------------------------
@@ -309,6 +313,40 @@ def test_repair_interpolates_through_zero_evaluation_points(p, w, u, v, s):
         assert codes.local_repair(code, word, idx) == expected
 
 
+def test_repair_weights_are_computed_once_per_coordinate(monkeypatch):
+    code = codes.build_rational_lrc(F(2, 4), 1, 2, 1)
+    calls = collections.Counter()
+    inner = codes._lagrange_logs
+
+    def counting(f, x0, xs):
+        calls[x0] += 1
+        return inner(f, x0, xs)
+
+    monkeypatch.setattr(codes, "_lagrange_logs", counting)
+    rng = random.Random("weights-cache")
+    for _ in range(3):
+        for idx in range(code.n):
+            word = list(codes.encode(code, [rng.randrange(16) for _ in range(code.k)]))
+            erased, word[idx] = word[idx], None
+            assert codes.local_repair(code, word, idx) == erased
+    assert sum(calls.values()) == code.n
+
+
+def test_repeated_y_values_raise_on_every_repair():
+    base = codes.build_rational_lrc(F(3, 2), 1, 1, 1)
+    g = base.repair_groups[0]
+    ys = list(base.y_values)
+    ys[g[1]] = ys[g[2]]
+    code = codes.LinearCode(field=base.field, n=base.n, k=base.k, generator=base.generator,
+                            repair_groups=base.repair_groups, y_values=tuple(ys),
+                            meta=base.meta)
+    word = list(codes.encode(code, [1, 2, 0, 1]))
+    word[g[0]] = None
+    for _ in range(3):
+        with pytest.raises(DivideByZero):
+            codes.local_repair(code, word, g[0])
+
+
 @pytest.mark.parametrize("source,r", [((3, 2, 1, 1, 1), 2), ((2, 4, 3, 0, 2), 3),
                                       ((5, 2, 1, 1, 1), 4), (None, 2)])
 def test_repair_of_any_word_on_naive_codes_is_minus_the_group_sum(source, r):
@@ -344,6 +382,14 @@ def test_min_distance_repetition():
         repair_groups=((0, 1), (2, 3)), meta={"r": 1},
     )
     assert codes.min_distance(code) == 2
+
+
+def test_min_distance_of_a_k0_code_is_an_error():
+    f9 = F(3, 2)
+    code = codes.LinearCode(field=f9, n=4, k=0, generator=())
+    assert codes.encode(code, []) == (f9.zero(),) * 4
+    with pytest.raises(DomainError, match="no nonzero codeword"):
+        codes.min_distance(code)
 
 
 def test_min_distance_respects_limit():
@@ -568,6 +614,42 @@ def _mangled(edit):
 def test_from_json_rejects_malformed_documents(edit, error):
     with pytest.raises(error):
         codes.from_json(_mangled(edit))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["generator"][1].__setitem__(2, [3, 0]), id="digit-p"),
+    pytest.param(lambda d: d["generator"][0].__setitem__(5, [0, 7]), id="digit-above-p"),
+    pytest.param(lambda d: d["generator"][2].__setitem__(0, [-1, 0]), id="digit-negative"),
+    pytest.param(lambda d: d["generator"][0].__setitem__(1, [1.0, 0]), id="digit-float"),
+    pytest.param(lambda d: d["generator"][3].__setitem__(4, [1, 0, 0]), id="three-digits"),
+    pytest.param(lambda d: d["generator"][1].__setitem__(3, []), id="no-digits"),
+    pytest.param(lambda d: d["generator"][1].__setitem__(3, 2), id="digits-int"),
+    pytest.param(lambda d: d["y_values"].__setitem__(3, [0, 3]), id="y-digit-p"),
+    pytest.param(lambda d: d["y_values"].__setitem__(0, [2]), id="y-one-digit"),
+])
+def test_from_json_rejects_bad_coefficient_lists(edit):
+    with pytest.raises(SpecMismatch):
+        codes.from_json(_mangled(edit))
+
+
+def test_json_round_trip_on_every_golden_code():
+    golden = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                         / "perfbench" / "golden.json").read_text())
+    built = {}
+    for key in sorted(golden["codes"], key=lambda key: key.startswith("naive:")):
+        if key.startswith("naive:"):
+            _, source, r = key.split(":")
+            built[key] = codes.naive_lrc(built[source], int(r))
+        else:
+            q, u, v, s = (int(x) for x in key.split(","))
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            built[key] = codes.build_rational_lrc(F(p, round(math.log(q, p))), u, v, s)
+    assert len(built) == len(golden["codes"])
+    for key, code in built.items():
+        text = codes.to_json(code)
+        again = codes.from_json(text)
+        assert codes.to_json(again) == text, key
+        assert again.generator == code.generator and again.y_values == code.y_values, key
 
 
 def test_from_json_rejects_non_json_text():

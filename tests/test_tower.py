@@ -5,6 +5,7 @@ import pytest
 from lrctower import galois, tower
 from lrctower.errors import (
     DistanceNonpositive,
+    InvariantViolation,
     NoSquareRoot,
     NotAdmissible,
     SOutOfRange,
@@ -260,3 +261,89 @@ def test_place_to_genus_ratio_trend():
         ratio = n / tower.genus(spec, m)
         target = ell - 1
         assert abs(ratio - target) <= 0.1 * target
+
+
+# -- the index-level subgroup and orbit checks ---------------------------------------
+
+def _subgroup_params(spec):
+    """Every (u, v) that check_admissible accepts, the trivial group included."""
+    for v in range(spec.w // 2 + 1):
+        for u in range(1, spec.ell):
+            try:
+                galois.check_admissible(spec, u, v)
+            except NotAdmissible:
+                continue
+            yield u, v
+
+
+def _reference_orbits(group, places):
+    """Orbits through the public element-level act_inverse, each checked to be
+    closed under one more group element via compose."""
+    index_of = {pl.key(): i for i, pl in enumerate(places)}
+    last = group.elements[-1]
+    seen, orbits = set(), []
+    for i, place in enumerate(places):
+        if i in seen:
+            continue
+        orbit = {index_of[tower.act_inverse(sigma, place).key()] for sigma in group}
+        for sigma in group:
+            image = tower.act_inverse(tower.compose(sigma, last), place)
+            assert image == tower.act_inverse(sigma, tower.act_inverse(last, place))
+            assert index_of[image.key()] in orbit
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p,w", [(2, 2), (3, 2), (2, 4), (5, 2), (2, 6)])
+def test_orbit_partition_matches_element_level_reference(p, w, m):
+    spec = F(p, w)
+    places = tower.enumerate_places(spec, m)
+    params = list(_subgroup_params(spec))
+    assert (1, 0) in params
+    for u, v in params:
+        group = tower.build_subgroup(spec, u, v)
+        assert tower.orbit_partition(group, places) == _reference_orbits(group, places)
+
+
+@pytest.mark.parametrize("p,w,u,v", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 4, 3, 2), (5, 2, 4, 1),
+                                     (2, 6, 7, 3)])
+def test_subgroup_rejects_a_dropped_or_altered_pair(p, w, u, v):
+    spec = F(p, w)
+    pairs = tower.build_subgroup(spec, u, v).pairs
+    assert len(pairs) >= 2
+    tower.AutSubgroup(spec, u, v, list(reversed(pairs)))  # order does not matter
+    outside = [(c, a) for c in range(1, spec.q) for a in range(spec.q)
+               if (c, a) not in set(pairs)]
+    rng = random.Random(f"pairs:{p}:{w}:{u}:{v}")
+    for k in range(len(pairs)):
+        with pytest.raises(InvariantViolation):
+            tower.AutSubgroup(spec, u, v, pairs[:k] + pairs[k + 1:])
+        # |G| - 1 elements of G and one outsider never form a group when
+        # |G| > 2, since a subgroup of order |G| - 1 cannot divide |G|
+        altered = pairs[:k] + [rng.choice(outside)] + pairs[k + 1:]
+        if len(pairs) > 2:
+            with pytest.raises(InvariantViolation):
+                tower.AutSubgroup(spec, u, v, altered)
+        with pytest.raises(InvariantViolation):
+            tower.AutSubgroup(spec, u, v, pairs[:k] + [pairs[k - 1]] + pairs[k + 1:])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p,w,u,v", [(3, 2, 1, 0), (3, 2, 2, 1), (2, 4, 1, 0), (2, 4, 3, 2),
+                                     (5, 2, 1, 1)])
+def test_orbit_partition_rejects_a_corrupted_place(p, w, u, v, m):
+    spec = F(p, w)
+    places = tower.enumerate_places(spec, m)
+    group = tower.build_subgroup(spec, u, v)
+    for k in (0, len(places) // 2, len(places) - 1):
+        bad = list(places)
+        # a zero last coordinate breaks the recursion (or, at m = 1, puts
+        # the place in the additive kernel)
+        bad[k] = tower.TowerPlace(m, places[k].coords[:-1] + (spec.zero(),))
+        with pytest.raises(InvariantViolation):
+            tower.orbit_partition(group, bad)
+        bad[k] = places[k - 1]  # a valid place, listed twice
+        with pytest.raises(InvariantViolation):
+            tower.orbit_partition(group, bad)
