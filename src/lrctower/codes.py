@@ -17,10 +17,11 @@ over its group mates, with Lagrange weights at the y values (kept per
 coordinate after the first repair), or lambda_j = -1 for naive codes.
 
 Verification is dual-route everywhere it matters: locality is checked both
-algebraically (column spans) and exhaustively (codeword projections), the
+algebraically (column spans) and exhaustively (codeword supports), the
 minimum distance by an exact scan over all q^k codewords, and one-erasure
-repair by Lagrange interpolation round trips.  Only the exhaustive scans
-load numpy.
+repair by Lagrange interpolation round trips.  The two exhaustive checks
+read one blocked scan of support masks, `_nonzero_blocks`.  Only the
+exhaustive scans load numpy.
 """
 
 from __future__ import annotations
@@ -121,13 +122,23 @@ def _rref(f: galois.FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], 
 
 
 def _indices(f: galois.FieldSpec, entries, ints: bool = False) -> tuple[int, ...]:
-    """Canonical indices of elements of f (with ints, also of indices in
-    [0, q)); SpecMismatch for anything else."""
-    if ints:
-        entries = [x if isinstance(x, Element) else f.from_index(int(x)) for x in entries]
-    if not all(isinstance(x, Element) and (x.field is f or x.field == f) for x in entries):
-        raise SpecMismatch(f"an entry is not an element of {f!r}")
-    return tuple(x.index for x in entries)
+    """Canonical indices of elements of f (with ints, also of anything int()
+    takes to an index in [0, q), read in place); SpecMismatch for anything
+    else."""
+    out = []
+    for x in entries:
+        if isinstance(x, Element):
+            if x.field is not f and x.field != f:
+                raise SpecMismatch(f"an entry is not an element of {f!r}")
+            out.append(x.index)
+        elif ints:
+            i = int(x)
+            if not 0 <= i < f.q:
+                raise SpecMismatch(f"index {i} outside [0, {f.q})")
+            out.append(i)
+        else:
+            raise SpecMismatch(f"an entry is not an element of {f!r}")
+    return tuple(out)
 
 
 def _elements(f: galois.FieldSpec, rows) -> tuple[tuple[Element, ...], ...]:
@@ -440,15 +451,47 @@ def all_codewords(code: LinearCode, limit: int = 1 << 18):
     return _span(code.field, code._rows, code.n)
 
 
+def _span_words(f: galois.FieldSpec, rows, n: int, b: int):
+    """Each word of the span of the index rows in the order of `_span`,
+    built b rows at a time, so no more than one block is held at once."""
+    if len(rows) <= b:
+        yield from _span(f, rows, n)
+        return
+    add = f.tables()[0]
+    block = _span(f, rows[-b:], n)
+    for lead in _span_words(f, rows[:-b], n, b):
+        yield from add[lead, block]
+
+
+def _nonzero_blocks(code: LinearCode):
+    """Support masks (symbol != 0) of all q^k codewords, one boolean block
+    at a time, in the message order of `_span`: row 0 of block 0 is the
+    zero word.
+
+    A block is the span of the last b message rows, the most with
+    q^b n <= 2^14 entries (at least one row when k >= 1), so every
+    temporary stays small.  Each word `lead` spanned by the leading rows
+    shifts the block, and lead + c is zero exactly where c = -lead: its
+    masks are `block != neg[lead]`, with neg the index of -x for each x.
+    """
+    f, k, n = code.field, code.k, code.n
+    b = min(k, 1)
+    while b < k and f.q ** (b + 1) * n <= 1 << 14:
+        b += 1
+    neg = f.tables()[1][f.p - 1]  # -x = (-1) x, and -1 has index p - 1
+    block = _span(f, code._rows[k - b:], n)
+    for lead in _span_words(f, code._rows[:k - b], n, b):
+        yield block != neg[lead]
+
+
 def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords;
     DomainError for k = 0, where there is none.
 
-    The last few message digits span one block of at most 4096 words; each
-    word spanned by the leading digits is added to the whole block in one
-    vectorized step.  Raises TooLarge when q^k > limit; verify only d_lower
-    by sampling then (random codeword weights give a one-sided upper bound
-    on d, never a certificate).
+    Counts the support of every codeword, block by block from
+    `_nonzero_blocks`, skipping the zero word.  Raises TooLarge when
+    q^k > limit; verify only d_lower by sampling then (random codeword
+    weights give a one-sided upper bound on d, never a certificate).
     """
     q, k, n = code.field.q, code.k, code.n
     if not k:
@@ -459,16 +502,9 @@ def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
             f"q^k = {total} exceeds limit {limit}; use sampled weights to "
             "probe d_lower instead"
         )
-    import numpy as np
-
-    add = code.field.tables()[0]
-    b = 1
-    while b < k and q ** (b + 1) <= 4096:
-        b += 1
-    block = _span(code.field, code._rows[k - b:], n)
     best = n + 1
-    for t, lead in enumerate(_span(code.field, code._rows[:k - b], n)):
-        weights = np.count_nonzero(add[lead[None, :], block], axis=1)
+    for t, mask in enumerate(_nonzero_blocks(code)):
+        weights = mask.sum(1)
         if not t:
             weights[0] = n + 1  # skip the all-zero codeword
         best = min(best, int(weights.min()))
@@ -481,8 +517,12 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
     (a) algebraic: generator column i lies in the span of the columns of
         its group mates, i.e. some linear dependency among the group's
         columns involves i (one reduction per group); (b) exhaustive (when
-        q^k <= exhaustive_limit): codewords agreeing on the group mates
-        agree at i, i.e. the projections determine the symbol.
+        q^k <= exhaustive_limit): no codeword's support inside i's group
+        is exactly {i}.  The scan enumerates the whole span of the rows,
+        which is closed under subtraction, so (b) says that codewords
+        agreeing on the group mates agree at i: their difference is zero
+        on the mates.  The nonzeros per group are counted over the support
+        masks of `_nonzero_blocks`, one reduction per block.
     """
     if code.repair_groups is None:
         raise NoGroups("code carries no repair groups")
@@ -498,16 +538,17 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
     if code.field.q**code.k <= exhaustive_limit:
         import numpy as np
 
-        words = all_codewords(code, exhaustive_limit)
-        exhaustive = []
-        for i in range(code.n):
-            others = [j for j in code.group_of(i) if j != i]
-            proj = words[:, others]
-            vals = words[:, i]
-            order = np.lexsort((vals, *proj.T))  # vals: a key even for r = 0
-            sp, sv = proj[order], vals[order]
-            dup = np.all(sp[1:] == sp[:-1], axis=1)
-            exhaustive.append(not bool(np.any(dup & (sv[1:] != sv[:-1]))))
+        order, starts, owner = [], [], [0] * code.n  # owner: each coordinate's group
+        for t, g in enumerate(g for g in code.repair_groups if g):
+            starts.append(len(order))
+            order.extend(g)
+            for i in g:
+                owner[i] = t
+        alone = np.zeros(code.n, dtype=bool)  # i is a codeword's support in its group
+        for mask in _nonzero_blocks(code):
+            counts = np.add.reduceat(mask[:, order], starts, axis=1)
+            alone |= (mask & (counts[:, owner] == 1)).any(0)
+        exhaustive = (~alone).tolist()
     ok = all(algebraic) and (exhaustive is None or all(exhaustive))
     r = code.meta.get("r", max(len(g) for g in code.repair_groups) - 1)
     return LocalityReport(r=r, algebraic=algebraic, exhaustive=exhaustive, passed=ok)

@@ -252,6 +252,35 @@ def test_repair_requires_groups():
         codes.local_repair(plain, [None, f2.one(), f2.one(), f2.one()], 0)
 
 
+def test_integer_symbols_are_read_in_place_with_the_same_checks():
+    import numpy as np
+    f9 = F(3, 2)
+    code = codes.build_rational_lrc(f9, 1, 1, 1)  # [6, 4], groups of 3
+    msg = [1, 5, 0, 8]
+    word = codes.encode(code, msg)
+    for conv in (int, np.int64, np.int32, np.uint8, f9.from_index):
+        assert codes.encode(code, [conv(m) for m in msg]) == word
+    assert codes.encode(code, [True, 5, False, 8]) == codes.encode(code, [1, 5, 0, 8])
+    idx = code.repair_groups[0][0]
+    mate = code.repair_groups[0][1]
+    for conv in (int, np.int64, f9.from_index):
+        symbols = [None if j == idx else conv(word[j].index) for j in range(code.n)]
+        assert codes.local_repair(code, symbols, idx) == word[idx]
+    for bad, error in [(9, SpecMismatch), (-1, SpecMismatch), (np.int64(9), SpecMismatch),
+                       (F(3, 1).one(), SpecMismatch), ("x", ValueError), (None, TypeError)]:
+        with pytest.raises(error):
+            codes.encode(code, [bad, 0, 0, 0])
+        symbols = [sym.index for sym in word]
+        symbols[idx], symbols[mate] = None, bad
+        with pytest.raises(NotRepairable if bad is None else error):
+            codes.local_repair(code, symbols, idx)
+    # element-only entry points take no integers
+    with pytest.raises(SpecMismatch):
+        codes.LinearCode(field=f9, n=2, k=1, generator=((1, 0),))
+    with pytest.raises(SpecMismatch):
+        codes.poly_eval((1, f9.one()), f9.one())
+
+
 def _lagrange_at(xs, ys, x0):
     """Element-level Lagrange interpolation through (xs, ys), evaluated at x0."""
     acc = x0.field.zero()
@@ -780,3 +809,74 @@ def test_verify_locality_algebraic_matches_span_oracle(p, w):
         assert report.algebraic == expected
         assert report.exhaustive == expected
         checked += 1
+
+
+# -- the support-mask scan ---------------------------------------------------------------
+
+def _projection_oracle(code):
+    """The definition of exhaustive locality, over `all_codewords`: at each i,
+    the projection onto the group mates determines the symbol."""
+    words = codes.all_codewords(code).tolist()
+    result = []
+    for i in range(code.n):
+        mates = [j for j in code.group_of(i) if j != i]
+        seen = {}
+        result.append(all(seen.setdefault(tuple(w[j] for j in mates), w[i]) == w[i]
+                          for w in words))
+    return result
+
+
+def _random_partition(rng, n):
+    """Groups of unequal sizes (singletons included) over shuffled coordinates."""
+    coords = list(range(n))
+    rng.shuffle(coords)
+    groups = []
+    while coords:
+        size = rng.choice([1, 1, 2, 3, 4])
+        groups.append(tuple(coords[:size]))
+        coords = coords[size:]
+    return tuple(groups)
+
+
+@pytest.mark.parametrize("p,w", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                 (11, 1), (13, 1), (2, 4)])
+def test_exhaustive_locality_matches_projection_oracle(p, w):
+    f = F(p, w)
+    rng = random.Random(f"support:{p}:{w}")
+    outcomes = collections.Counter()
+    for _ in range(8):
+        k = rng.randint(1, 3 if f.q <= 4 else 2)
+        code = _random_full_rank_code(rng, f, k, k + rng.randint(1, 5))
+        code = codes.LinearCode(field=f, n=code.n, k=k, generator=code.generator,
+                                repair_groups=_random_partition(rng, code.n))
+        expected = _projection_oracle(code)
+        assert codes.verify_locality(code).exhaustive == expected
+        outcomes.update(expected)
+    assert outcomes[True] and outcomes[False]  # passing and failing coordinates
+
+
+# every workload VERIFY_CODES shape that spans more than one block
+@pytest.mark.parametrize("p,w,u,v,s,source_r", [(5, 2, 4, 0, 0, None), (5, 2, 2, 0, 2, None),
+                                                (2, 6, 1, 1, 1, None), (3, 2, 1, 1, 1, None),
+                                                (3, 2, 1, 1, 1, 2)])
+def test_scan_over_several_blocks_matches_oracles(p, w, u, v, s, source_r):
+    code = codes.build_rational_lrc(F(p, w), u, v, s)
+    if source_r is not None:
+        code = codes.naive_lrc(code, source_r)
+    assert len(list(codes._nonzero_blocks(code))) > 1
+    assert codes.min_distance(code) == brute_distance(code)
+    report = codes.verify_locality(code)
+    assert report.exhaustive == _projection_oracle(code)
+    assert report.exhaustive == report.algebraic == [True] * code.n
+
+
+@pytest.mark.parametrize("p,w,n,k", [(2, 1, 300, 12), (3, 1, 40, 7), (5, 1, 9, 5),
+                                     (2, 2, 30, 6), (3, 2, 6, 1)])
+def test_nonzero_blocks_are_the_supports_of_all_codewords(p, w, n, k):
+    import numpy as np
+    f = F(p, w)
+    code = _random_full_rank_code(random.Random(f"blocks:{p}:{w}:{n}:{k}"), f, k, n)
+    masks = np.concatenate(list(codes._nonzero_blocks(code)))
+    words = codes.all_codewords(code)
+    assert (masks == (words != 0)).all()  # same words, same order
+    assert codes.min_distance(code) == int((words[1:] != 0).sum(1).min())
