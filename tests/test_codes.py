@@ -611,6 +611,20 @@ def test_json_round_trip_byte_exact():
     assert again.meta["d_lower"] == code.meta["d_lower"]
 
 
+def test_to_json_is_one_canonical_document():
+    f9 = F(3, 2)
+    tricky = codes.LinearCode(field=f9, n=2, k=1, generator=((f9.one(), f9.zero()),),
+                              meta={"construction": '"generator":null', "source": "generator"})
+    empty = codes.LinearCode(field=f9, n=3, k=0, generator=())
+    for code in (codes.build_rational_lrc(F(2, 8), 1, 2, 1), codes.naive_lrc(_code_633(), 2),
+                 tricky, empty):
+        text = codes.to_json(code)
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert doc["generator"] == [[e.to_json() for e in row] for row in code.generator]
+        assert doc["construction"] == code.meta.get("construction", "generic")
+
+
 def test_json_naive_round_trip():
     code = codes.naive_lrc(_code_633(), 2)
     blob = codes.to_json(code)
