@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from math import isqrt, log, log1p, sqrt
 
-from . import galois, tower
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -72,12 +71,17 @@ def _check_q(q: float) -> float:
 
 
 def _sqrt_q(q: float) -> int:
-    """Integer square root of q; DomainError unless q is a perfect square."""
+    """Integer square root of q; DomainError unless q is a perfect square.
+
+    Above 2^53 a float is an integer but not always the one written (1e30
+    holds 1000000000000000019884624838656), so the error names it.
+    """
     if q != int(q):
         raise DomainError(f"q = {q} is not a perfect square")
     rt = isqrt(int(q))
     if rt * rt != int(q):
-        raise DomainError(f"q = {q} is not a perfect square")
+        held = f" (the float holds the integer {int(q)})" if q > 2**53 else ""
+        raise DomainError(f"q = {q} is not a perfect square{held}")
     return rt
 
 
@@ -346,6 +350,8 @@ def evaluate(bound_id: str, q: float, r: int, delta: float) -> float:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    from . import galois
+
     n = int(q)
     if n < 2:
         raise DomainError(f"q = {q} is not a prime power")
@@ -369,6 +375,8 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 def admissible_localities(q: int) -> list[int]:
     """All admissible localities r = u p^v - 1 for the square prime power q."""
+    from . import galois, tower
+
     p, w = _prime_power(q)
     if w % 2:
         raise DomainError(f"q = {q} is not a square")

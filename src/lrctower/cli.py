@@ -7,15 +7,18 @@ failed check, 2 usage error.  File artifacts are written atomically
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import click
 
-from . import bounds, codes, galois, tower
+from . import bounds
 from .errors import LrcError, SpecMismatch, TooLarge
+
+if TYPE_CHECKING:
+    from . import galois
 
 #: the eight built-in (q, delta = 0.5) comparison configurations
 REFERENCE_QS = (2**8, 2**10, 2**12, 3**6, 3**8, 5**4, 5**6, 5**8)
@@ -45,6 +48,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _field_for(q: int) -> galois.FieldSpec:
+    from . import galois
+
     p, w = bounds._prime_power(q)
     return galois.field_create(p, w)
 
@@ -153,6 +158,10 @@ def tower_group():
 @click.option("--out", type=click.Path(), default=None)
 def tower_places(q, m, out):
     """Enumerate rational places of T_m as coordinate arrays (JSON)."""
+    import json
+
+    from . import tower
+
     spec = _field_for(q)
     places = tower.enumerate_places(spec, m)
     doc = [pl.to_json() for pl in places]
@@ -167,6 +176,10 @@ def tower_places(q, m, out):
 @click.option("--out", type=click.Path(), default=None)
 def tower_orbits(q, m, u, v, out):
     """Orbit partition as index arrays into the canonical place list (JSON)."""
+    import json
+
+    from . import tower
+
     spec = _field_for(q)
     group = tower.build_subgroup(spec, u, v)
     places = tower.enumerate_places(spec, m)
@@ -189,6 +202,8 @@ def code_group():
 @click.option("--out", type=click.Path(), default=None)
 def code_build(q, u, v, s, out):
     """Build the orbit-evaluation code for (q, u, v, s)."""
+    from . import codes
+
     spec = _field_for(q)
     code = codes.build_rational_lrc(spec, u, v, s)
     _emit(codes.to_json(code) + "\n", out)
@@ -208,6 +223,8 @@ def code_build(q, u, v, s, out):
               help="algebraic + exhaustive locality checks")
 def code_verify(code_file, check_distance, check_locality):
     """Re-validate a serialized code; exits 1 if any requested check fails."""
+    from . import codes
+
     with open(code_file) as handle:
         code = codes.from_json(handle.read())
     meta = code.meta
@@ -249,6 +266,8 @@ def code_verify(code_file, check_distance, check_locality):
               help="erased coordinate (default: position of ?)")
 def code_repair(code_file, word, idx):
     """Repair one erased symbol from its repair group."""
+    from . import codes
+
     with open(code_file) as handle:
         code = codes.from_json(handle.read())
     symbols = []

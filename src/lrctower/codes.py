@@ -20,16 +20,21 @@ Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword supports), the
 minimum distance by an exact scan over all q^k codewords, and one-erasure
 repair by Lagrange interpolation round trips.  The two exhaustive checks
-read one blocked scan of support masks, `_nonzero_blocks`.  Only the
-exhaustive scans load numpy.
+read one blocked scan of codeword supports, `_nonzero_blocks`, in pure
+Python over byte lanes (one 0/1 byte per codeword in an int per
+coordinate).  Only `all_codewords`, the tests' enumeration oracle, loads
+numpy (through `FieldSpec.tables`); `tower` loads with the level-1
+builder, so repair and verification run without it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field as dc_field
 
-from . import galois, tower
+from . import galois
 from .errors import (
     DivideByZero,
     DomainError,
@@ -214,6 +219,8 @@ class LinearCode:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError(f"a code needs length n >= 1, got n = {self.n}")
         if len(self.generator) != self.k:
             raise LengthMismatch(
                 f"generator has {len(self.generator)} rows, expected k = {self.k}"
@@ -306,6 +313,8 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     constant on every orbit; that, and distinct values across orbits, is
     checked here before the generator is assembled.
     """
+    from . import tower  # only the builder needs it; repair and verify do not
+
     group = tower.build_subgroup(spec, u, v)
     r = group.r
     n, _, d_lb = tower.thm34_params(spec, 1, r, s)
@@ -429,67 +438,137 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
     return Element(f, _dot(f, logs, symbols))
 
 
-def _span(f: galois.FieldSpec, rows, n: int):
-    """The q^len(rows) combinations of the index rows as a numpy array, in
-    mixed-radix order: row 0 is the zero word, the last row's digit fastest."""
+def all_codewords(code: LinearCode, limit: int = 1 << 18):
+    """All q^k codewords as a (q^k, n) numpy array of element indices, in
+    mixed-radix message order: row 0 is the zero word, the last message
+    digit fastest.  The tests' oracle for the scans, over `tables()`."""
     import numpy as np
 
+    f, n = code.field, code.n
+    total = f.q**code.k
+    if total > limit:
+        raise TooLarge(f"q^k = {total} exceeds limit {limit}")
     add, mul, _ = f.tables()
     words = np.zeros((1, n), dtype=np.int32)
-    for row in reversed(rows):
+    for row in reversed(code._rows):
         scal = mul[np.arange(f.q)[:, None], np.array(row, dtype=np.int32)[None, :]]
         words = add[scal[:, None, :], words[None, :, :]].reshape(-1, n)
     return words
 
 
-def all_codewords(code: LinearCode, limit: int = 1 << 18):
-    """All q^k codewords as a (q^k, n) numpy array of element indices, in
-    the mixed-radix message order of `_span` (row 0 the zero word)."""
-    total = code.field.q**code.k
-    if total > limit:
-        raise TooLarge(f"q^k = {total} exceeds limit {limit}")
-    return _span(code.field, code._rows, code.n)
+def _columns(f: galois.FieldSpec, rows, n: int) -> list:
+    """Column j of the span of the index rows: the symbols at j of its
+    q^len(rows) words in the order of `all_codewords`, as bytes when
+    q <= 256 and as a list otherwise.  A row's words m c (its digit m
+    slower) shift the span of the rows below it, one translate per m."""
+    q = f.q
+    if q <= 256:
+        add, mul, _ = f._byte_tables
+        if not rows:
+            return [b"\0"] * n
+        cols = [mul[c][:q] for c in rows[-1]]  # the last row's words m c
+        for row in reversed(rows[:-1]):
+            cols = [b"".join([col.translate(add[x]) for x in mul[c][:q]])
+                    for col, c in zip(cols, row)]
+    else:
+        add, mul = galois.index_ops(f)
+        cols = [[0]] * n
+        for row in reversed(rows):
+            cols = [[add(mul(m, c), x) for m in range(q) for x in col]
+                    for col, c in zip(cols, row)]
+    return cols
 
 
-def _span_words(f: galois.FieldSpec, rows, n: int, b: int):
-    """Each word of the span of the index rows in the order of `_span`,
-    built b rows at a time, so no more than one block is held at once."""
-    if len(rows) <= b:
-        yield from _span(f, rows, n)
-        return
-    add = f.tables()[0]
-    block = _span(f, rows[-b:], n)
-    for lead in _span_words(f, rows[:-b], n, b):
-        yield from add[lead, block]
+#: the most symbols a block of a scan holds, n q^b for b block rows
+_BLOCK_BYTES = 1 << 14
+
+
+def _block_rows(q: int, k: int, n: int) -> int:
+    """Rows b of the blocks `_nonzero_blocks` shifts, for k >= 1: for
+    q <= 256 the most with n q^b <= _BLOCK_BYTES, at least one; for
+    q > 256 one."""
+    b = 1
+    while q <= 256 and b < k and n * q ** (b + 1) <= _BLOCK_BYTES:
+        b += 1
+    return b
 
 
 def _nonzero_blocks(code: LinearCode):
-    """Support masks (symbol != 0) of all q^k codewords, one boolean block
-    at a time, in the message order of `_span`: row 0 of block 0 is the
-    zero word.
+    """Support lanes of all q^k codewords, one block at a time, in the
+    message order of `all_codewords`: word 0 of block 0 is the zero word.
 
-    A block is the span of the last b message rows, the most with
-    q^b n <= 2^14 entries (at least one row when k >= 1), so every
-    temporary stays small.  Each word `lead` spanned by the leading rows
-    shifts the block, and lead + c is zero exactly where c = -lead: its
-    masks are `block != neg[lead]`, with neg the index of -x for each x.
+    A block is the span of the last b = `_block_rows` message rows, and
+    each word `lead` spanned by the leading k - b rows shifts it.  The
+    block yields one int per coordinate j whose byte m is 1 where word m
+    of the shifted block is nonzero at j, else 0.  For q <= 256 that is
+    column j of the block translated through the field's nonzero[lead_j]
+    table.  When the leads outnumber the symbols (k - b >= 2) the q lanes
+    of each column are built once, at most q n q^b <= 4 MB within the
+    block bound.  A symbol above 255 does not fit a byte, so for q > 256
+    the block is the last row c alone, and lead_j + m c_j is zero only at
+    m = -lead_j / c_j (everywhere when lead_j = c_j = 0).
     """
     f, k, n = code.field, code.k, code.n
-    b = min(k, 1)
-    while b < k and f.q ** (b + 1) * n <= 1 << 14:
-        b += 1
-    neg = f.tables()[1][f.p - 1]  # -x = (-1) x, and -1 has index p - 1
-    block = _span(f, code._rows[k - b:], n)
-    for lead in _span_words(f, code._rows[:k - b], n, b):
-        yield block != neg[lead]
+    q, rows = f.q, code._rows
+    if not k:  # the zero word alone
+        yield [0] * n
+        return
+    b = _block_rows(q, k, n)
+    leads = zip(*_columns(f, rows[:k - b], n))
+    if q > 256:
+        exp, log, _ = f._logs
+        ones = int.from_bytes(b"\1" * q, "little")
+        neg = log[f.p - 1]  # log(-1)
+        lcs = [log[c] for c in rows[-1]]  # -1 for c = 0
+        for lead in leads:
+            lanes = []
+            for a, lc in zip(lead, lcs):
+                if lc < 0:
+                    lanes.append(ones if a else 0)
+                else:
+                    m = exp[(log[a] + neg - lc) % (q - 1)] if a else 0
+                    lanes.append(ones ^ (1 << 8 * m))
+            yield lanes
+        return
+    nonzero = f._byte_tables[2]
+    block = _columns(f, rows[k - b:], n)
+    if k - b >= 2 and n * q**b <= _BLOCK_BYTES:
+        kept = [[int.from_bytes(col.translate(t), "little") for t in nonzero]
+                for col in block]
+        for lead in leads:
+            yield [lanes[a] for lanes, a in zip(kept, lead)]
+    else:
+        for lead in leads:
+            yield [int.from_bytes(col.translate(nonzero[a]), "little")
+                   for col, a in zip(block, lead)]
+
+
+def _counts(lanes: list[int], size: int):
+    """The support size of each of a block's `size` words from its 0/1
+    byte lanes: the bytes of their sum (SWAR: no lane carries) when
+    n < 256, else an array of wider counts, summed 255 columns at a time
+    and spread to 2- or 4-byte lanes."""
+    if len(lanes) < 256:
+        return sum(lanes).to_bytes(size, "little")
+    width = 2 if len(lanes) < 1 << 16 else 4
+    total = 0
+    for c in range(0, len(lanes), 255):
+        wide = bytearray(size * width)
+        wide[::width] = sum(lanes[c:c + 255]).to_bytes(size, "little")
+        total += int.from_bytes(wide, "little")
+    out = array(next(t for t in "HIL" if array(t).itemsize == width),
+                total.to_bytes(size * width, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
     """Exact minimum Hamming weight over all q^k - 1 nonzero codewords;
     DomainError for k = 0, where there is none.
 
-    Counts the support of every codeword, block by block from
-    `_nonzero_blocks`, skipping the zero word.  Raises TooLarge when
+    Counts the support of every codeword, block by block from the lanes
+    of `_nonzero_blocks`, skipping the zero word.  Raises TooLarge when
     q^k > limit; verify only d_lower by sampling then (random codeword
     weights give a one-sided upper bound on d, never a certificate).
     """
@@ -503,11 +582,17 @@ def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
             "probe d_lower instead"
         )
     best = n + 1
-    for t, mask in enumerate(_nonzero_blocks(code)):
-        weights = mask.sum(1)
+    size = q ** _block_rows(q, k, n)
+    drop = b""  # the counts a byte holds that are not below best
+    for t, lanes in enumerate(_nonzero_blocks(code)):
+        counts = _counts(lanes, size)
         if not t:
-            weights[0] = n + 1  # skip the all-zero codeword
-        best = min(best, int(weights.min()))
+            counts = counts[1:]  # skip the all-zero codeword
+        if isinstance(counts, bytes):  # only the counts below best, in C
+            counts = counts.translate(None, drop)
+        if counts:
+            best = min(best, min(counts))
+            drop = bytes(range(min(best, 256), 256))
     return best
 
 
@@ -521,8 +606,8 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
         is exactly {i}.  The scan enumerates the whole span of the rows,
         which is closed under subtraction, so (b) says that codewords
         agreeing on the group mates agree at i: their difference is zero
-        on the mates.  The nonzeros per group are counted over the support
-        masks of `_nonzero_blocks`, one reduction per block.
+        on the mates.  Over the lanes of `_nonzero_blocks`, i fails when
+        nz_i & ~(nz_j for its mates j, or-ed) is nonzero.
     """
     if code.repair_groups is None:
         raise NoGroups("code carries no repair groups")
@@ -536,21 +621,20 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
             algebraic[g[pc]] = any(row[fc] for fc in free)
     exhaustive = None
     if code.field.q**code.k <= exhaustive_limit:
-        import numpy as np
-
-        order, starts, owner = [], [], [0] * code.n  # owner: each coordinate's group
-        for t, g in enumerate(g for g in code.repair_groups if g):
-            starts.append(len(order))
-            order.extend(g)
-            for i in g:
-                owner[i] = t
-        alone = np.zeros(code.n, dtype=bool)  # i is a codeword's support in its group
-        for mask in _nonzero_blocks(code):
-            counts = np.add.reduceat(mask[:, order], starts, axis=1)
-            alone |= (mask & (counts[:, owner] == 1)).any(0)
-        exhaustive = (~alone).tolist()
+        exhaustive = [True] * code.n
+        for lanes in _nonzero_blocks(code):
+            for g in code.repair_groups:
+                before = [0]  # or of the lanes before each member
+                for i in g:
+                    before.append(before[-1] | lanes[i])
+                after = 0  # or of the lanes after it
+                for t in range(len(g) - 1, -1, -1):
+                    i = g[t]
+                    if lanes[i] & ~(before[t] | after):
+                        exhaustive[i] = False
+                    after |= lanes[i]
     ok = all(algebraic) and (exhaustive is None or all(exhaustive))
-    r = code.meta.get("r", max(len(g) for g in code.repair_groups) - 1)
+    r = code.meta["r"] if "r" in code.meta else max(len(g) for g in code.repair_groups) - 1
     return LocalityReport(r=r, algebraic=algebraic, exhaustive=exhaustive, passed=ok)
 
 

@@ -158,7 +158,7 @@ class FieldSpec:
         for i in range(self.q):
             yield FieldElement(self, i)
 
-    # -- lazy lookup tables (used by the brute-force code scans) --------
+    # -- lazy lookup tables: numpy for `codes.all_codewords`, bytes for the scans
 
     def tables(self):
         """(add, mul, inv) numpy index tables over the exp/log/Zech lists that
@@ -181,6 +181,37 @@ class FieldSpec:
             inv[1:] = exp[q - 1 - log[1:]]
             self._tables = add, mul, inv
         return self._tables
+
+    @cached_property
+    def _byte_tables(self) -> tuple[list[bytes], list[bytes], list[bytes]]:
+        """(add, mul, nonzero) as `bytes.translate` tables, for q <= 256:
+        add[a] maps each index x to a + x, mul[c] maps m to m c and
+        nonzero[a] maps x to 1 where a + x != 0, else 0 (the add tables
+        are the identity past q).
+
+        add[a] is add[a - p^i] shifted by the unit p^i at the top digit of
+        a, and mul[g^(k+1)] is mul[g^k] followed by mul[g]: one translate
+        per table, past the w + 1 tables built symbol by symbol.
+        """
+        p, w, q = self.p, self.w, self.q
+        exp, log, _ = self._logs
+        tail = bytes(range(q, 256))
+        add = [bytes(range(256))]
+        for i in range(w):
+            s = p**i
+            unit = bytes(x + s if x // s % p < p - 1 else x - (p - 1) * s
+                         for x in range(q)) + tail
+            for a in range(s, s * p):
+                add.append(add[a - s].translate(unit))
+        times_g = bytes([0] + [exp[log[m] + 1] for m in range(1, q)]) + tail
+        mul = [bytes(256)] * q
+        cur = add[0]
+        for k in range(q - 1):
+            mul[exp[k]] = cur
+            cur = cur.translate(times_g)
+        one = b"\1" * 256
+        nonzero = [one[:x] + b"\0" + one[x + 1:] for x in mul[p - 1][:q]]  # x = -a
+        return add, mul, nonzero
 
     # -- misc ------------------------------------------------------------
 

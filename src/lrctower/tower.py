@@ -16,9 +16,8 @@ boundary types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import ceil, gcd
+from math import gcd
 
 from . import galois
 from .errors import (
@@ -310,7 +309,7 @@ def s_range(spec: galois.FieldSpec, m: int, r: int) -> tuple[int, int]:
     """Inclusive (s_min, s_max) for the divisor degree at level m."""
     ell = spec.ell
     g = genus(spec, m)
-    s_min = 0 if m == 1 else ceil(Fraction(g - 1, r + 1))
+    s_min = 0 if m == 1 else -(-(g - 1) // (r + 1))  # ceil((g-1)/(r+1))
     # n_{m-1}; extended downward to ell - 1 at m = 1
     s_max = ell - 1 if m == 1 else ell ** (m - 2) * (spec.q - ell)
     return s_min, s_max
@@ -331,7 +330,7 @@ def thm34_params(spec: galois.FieldSpec, m: int, r: int,
     ell = spec.ell
     n = ell ** (m - 1) * (spec.q - ell)
     g = genus(spec, m)
-    k_lb = ceil(Fraction(r) * s - Fraction(r * (g - 1), r + 1))
+    k_lb = -((r * (g - 1) - r * s * (r + 1)) // (r + 1))  # the exact ceiling
     d_lb = n - (r + 1) * s - (r - 1) * ell ** (m - 1)
     if d_lb < 1:
         raise DistanceNonpositive(f"distance bound {d_lb} < 1")

@@ -119,37 +119,81 @@ def test_code_pipeline(tmp_path):
 
 
 _NUMPY_PROBE = """
-import sys
+import json, sys
 from click.testing import CliRunner
 from lrctower import cli
 
-def step(*args):
-    result = CliRunner().invoke(cli.main, list(args))
-    assert result.exit_code == 0, result.output
-    print(" ".join(args[:2]), "numpy" in sys.modules)
+def loaded():
+    mods = sorted(m.split(".")[1] for m in sys.modules if m.startswith("lrctower."))
+    return "numpy" in sys.modules, ",".join(mods)
 
-print("import", "numpy" in sys.modules)
-step("bounds", "eval", "--bound", "main", "--q", "256", "--r", "2", "--delta", "0.5")
-step("bounds", "lists", "--q", "256", "--delta", "0.5")
-step("bounds", "lists", "--reference-sets")
-step("tower", "orbits", "--q", "9", "--m", "1", "--u", "1", "--v", "1")
-step("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1", "--out", "c.json")
-step("code", "repair", "c.json", "--word", "4,7,?,1,0,3")
-step("code", "verify", "c.json", "--distance")
+print("import", *loaded())
+for args in json.loads(sys.stdin.read()):
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    print(" ".join(args[:2]), *loaded())
 """
 
 
-def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
+def _probe(tmp_path, steps):
     src = os.path.dirname(os.path.dirname(lrctower.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], cwd=tmp_path, env=env,
+                         input=json.dumps(steps), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
+    """No CLI command loads numpy (only `all_codewords` and `tables()` do),
+    and each loads only the submodules it runs: the bounds commands none
+    of codes, galois and tower, the lists and tower commands no codes,
+    and `code repair` and `code verify` no tower."""
+    bare, field = "bounds,cli,errors", "bounds,cli,errors,galois,tower"
+    code, full = "bounds,cli,codes,errors,galois", "bounds,cli,codes,errors,galois,tower"
+    assert _probe(tmp_path, [
+        ["bounds", "eval", "--bound", "main", "--q", "256", "--r", "2", "--delta", "0.5"],
+        ["bounds", "sweep", "--bounds", "main,gv,lp", "--q", "256", "--r", "2",
+         "--delta-min", "0.1", "--delta-max", "0.5", "--steps", "3"],
+        ["bounds", "s0", "--q", "256", "--r", "2"],
+        ["bounds", "lists", "--q", "256", "--delta", "0.5"],
+        ["bounds", "lists", "--reference-sets"],
+        ["tower", "orbits", "--q", "9", "--m", "1", "--u", "1", "--v", "1"],
+        ["code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1", "--out", "c.json"],
+    ]) == [
+        f"import False {bare}", f"bounds eval False {bare}", f"bounds sweep False {bare}",
+        f"bounds s0 False {bare}", f"bounds lists False {field}",
+        f"bounds lists False {field}", f"tower orbits False {field}",
+        f"code build False {full}",
+    ]
+    assert _probe(tmp_path, [
+        ["code", "repair", "c.json", "--word", "4,7,?,1,0,3"],
+        ["code", "verify", "c.json", "--distance", "--locality"],
+    ]) == [f"import False {bare}", f"code repair False {code}", f"code verify False {code}"]
+
+
+def test_lazy_submodules_load_on_first_use():
+    src = os.path.dirname(os.path.dirname(lrctower.__file__))
+    probe = """
+import sys
+import lrctower
+print(sorted(m for m in ("codes", "galois", "tower") if "lrctower." + m in sys.modules))
+from lrctower import tower
+print(tower is sys.modules["lrctower.tower"], lrctower.codes.__name__)
+print(all(m in dir(lrctower) for m in ("bounds", "codes", "galois", "tower")))
+try:
+    lrctower.nosuch
+except AttributeError as exc:
+    print(exc)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "import False", "bounds eval False", "bounds lists False", "bounds lists False",
-        "tower orbits False", "code build False", "code repair False",
-        "code verify True",
+        "[]", "True lrctower.codes", "True",
+        "module 'lrctower' has no attribute 'nosuch'",
     ]
 
 
@@ -223,3 +267,39 @@ def test_verify_distance_of_a_k0_code_is_a_one_line_error(tmp_path):
     assert "distance:" not in result.stdout  # no "d=n+1 pass"
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("DomainError: ")
+
+
+def test_verify_of_an_n0_code_is_a_one_line_error(tmp_path):
+    code = tmp_path / "n0.json"
+    code.write_text(json.dumps({
+        "field": {"p": 3, "w": 1, "modulus": [0, 1]}, "n": 0, "k": 0, "r": 1,
+        "construction": "naive", "params": {"source": "generic"}, "generator": [],
+        "repair_groups": [], "y_values": None, "d_lower": 1,
+    }))
+    for flags in (["--locality"], ["--distance"], []):
+        result = invoke("code", "verify", str(code), *flags)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stdout == ""
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("DomainError: ")
+
+
+def test_huge_q_names_the_integer_the_float_holds():
+    result = invoke("bounds", "eval", "--bound", "main", "--q", "1e30",
+                    "--r", "2", "--delta", "0.5")
+    assert result.exit_code == 1
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("DomainError: ")
+    assert "1000000000000000019884624838656" in lines[0]
+    result = invoke("bounds", "eval", "--bound", "main", "--q", str(3 * 2**58),
+                    "--r", "2", "--delta", "0.5")
+    assert f"holds the integer {3 * 2**58})" in result.stderr  # above 2^53 too
+    result = invoke("bounds", "eval", "--bound", "main", "--q", "24", "--r", "2",
+                    "--delta", "0.5")
+    assert result.stderr.strip() == "DomainError: q = 24.0 is not a perfect square"
+    # squares the float holds exactly still evaluate, up to 2^64
+    for q in (2**54, (2**26 + 1) ** 2, 2**64):
+        result = invoke("bounds", "eval", "--bound", "main", "--q", str(q), "--r", "2",
+                        "--delta", "0.5")
+        assert result.exit_code == 0, result.output

@@ -442,8 +442,8 @@ def _random_full_rank_code(rng, f, k, n):
             return codes.LinearCode(field=f, n=n, k=k, generator=gen)
 
 
-# k = 1, 2, 3: q^k <= 4096, so one block spans every message and the
-# leading span is the zero word alone; the extra k add a leading span
+# k = 1 is one block led by the zero word alone; from k = 2 on, lead words
+# of at least one row shift blocks of at most k - 1 rows
 @pytest.mark.parametrize("p,w,extra", [(2, 1, (13,)), (3, 1, (8,)), (2, 2, ()), (5, 1, ()),
                                        (7, 1, ()), (2, 3, ()), (3, 2, (4,)), (11, 1, ()),
                                        (13, 1, ()), (2, 4, ())])
@@ -884,13 +884,99 @@ def test_scan_over_several_blocks_matches_oracles(p, w, u, v, s, source_r):
     assert report.exhaustive == report.algebraic == [True] * code.n
 
 
+def _lane_masks(code):
+    """The support masks of `_nonzero_blocks` read back from its byte lanes,
+    one row per codeword in scan order, and the number of blocks."""
+    import numpy as np
+    blocks = list(codes._nonzero_blocks(code))
+    size = code.field.q ** code.k // len(blocks)
+    masks = [np.array([list(lane.to_bytes(size, "little")) for lane in lanes]).T
+             for lanes in blocks]
+    return np.concatenate(masks), len(blocks)
+
+
 @pytest.mark.parametrize("p,w,n,k", [(2, 1, 300, 12), (3, 1, 40, 7), (5, 1, 9, 5),
                                      (2, 2, 30, 6), (3, 2, 6, 1)])
 def test_nonzero_blocks_are_the_supports_of_all_codewords(p, w, n, k):
-    import numpy as np
     f = F(p, w)
     code = _random_full_rank_code(random.Random(f"blocks:{p}:{w}:{n}:{k}"), f, k, n)
-    masks = np.concatenate(list(codes._nonzero_blocks(code)))
+    masks, _ = _lane_masks(code)
     words = codes.all_codewords(code)
     assert (masks == (words != 0)).all()  # same words, same order
     assert codes.min_distance(code) == int((words[1:] != 0).sum(1).min())
+
+
+def _random_groups(rng, code):
+    return codes.LinearCode(field=code.field, n=code.n, k=code.k, generator=code.generator,
+                            repair_groups=_random_partition(rng, code.n))
+
+
+# q > 256: symbols wider than a byte, one row per block; n >= 256: counts
+# wider than a byte
+@pytest.mark.parametrize("p,w,n,k", [(17, 2, 4, 2), (2, 10, 5, 1), (2, 2, 260, 5)])
+def test_scan_beyond_byte_symbols_and_byte_counts(p, w, n, k):
+    f = F(p, w)
+    rng = random.Random(f"wide:{p}:{w}:{n}:{k}")
+    code = _random_full_rank_code(rng, f, k, n)
+    gen = [list(row) for row in code.generator]
+    if f.q > 256:  # a zero column and a column with a zero in its last row
+        gen[-1][0] = f.zero()
+        for row in gen:
+            row[1] = f.zero()
+    else:  # a word of weight n, whose count overflows a byte
+        gen[0] = [f.one()] * n
+    code = codes.LinearCode(field=f, n=n, k=k, generator=tuple(map(tuple, gen)))
+    masks, nblocks = _lane_masks(code)
+    words = codes.all_codewords(code)
+    assert nblocks == f.q ** (k - 1) if f.q > 256 else nblocks > 1
+    assert (masks == (words != 0)).all()
+    d = codes.min_distance(code)
+    assert d == int((words[1:] != 0).sum(1).min())
+    if f.q ** k <= 1024:
+        assert d == brute_distance(code)
+    outcomes = collections.Counter()
+    for _ in range(3):
+        grouped = _random_groups(rng, code)
+        expected = _projection_oracle(grouped)
+        assert codes.verify_locality(grouped).exhaustive == expected
+        outcomes.update(expected)
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("p,w,n,k", [(2, 1, 12, 6), (3, 1, 7, 4), (2, 2, 9, 3),
+                                     (5, 1, 6, 3), (3, 2, 5, 2)])
+def test_scan_without_kept_lanes_matches(monkeypatch, p, w, n, k):
+    """With no room for a block beyond one row, every lead of several
+    rows translates its columns anew; the results stay the same."""
+    f = F(p, w)
+    rng = random.Random(f"nokeep:{p}:{w}:{n}:{k}")
+    code = _random_groups(rng, _random_full_rank_code(rng, f, k, n))
+    expected = _projection_oracle(code)
+    words = codes.all_codewords(code)
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", 0)
+    masks, nblocks = _lane_masks(code)
+    assert nblocks == f.q ** (k - 1)
+    assert (masks == (words != 0)).all()
+    assert codes.min_distance(code) == brute_distance(code)
+    assert codes.verify_locality(code).exhaustive == expected
+
+
+def test_code_of_length_zero_is_an_error():
+    f3 = F(3, 1)
+    with pytest.raises(DomainError, match="n >= 1"):
+        codes.LinearCode(field=f3, n=0, k=0, generator=(), repair_groups=(), meta={"r": 1})
+    with pytest.raises(DomainError):
+        codes.from_json({"field": f3.to_json(), "n": 0, "k": 0, "generator": [],
+                         "repair_groups": [], "r": 1})
+
+
+def test_locality_default_r_is_computed_only_when_meta_has_none():
+    f3 = F(3, 1)
+    one, zero = f3.one(), f3.zero()
+    gen = ((one, one, zero, zero, zero), (zero, zero, one, one, one))
+    groups = ((0, 1), (2, 3, 4))
+    bare = codes.LinearCode(field=f3, n=5, k=2, generator=gen, repair_groups=groups)
+    assert codes.verify_locality(bare).r == 2  # the largest group, less one
+    tagged = codes.LinearCode(field=f3, n=5, k=2, generator=gen, repair_groups=groups,
+                              meta={"r": None})
+    assert codes.verify_locality(tagged).r is None  # as given, not the default
