@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt, log, log1p, sqrt
+from math import gcd, isqrt, log, log1p, sqrt
 
 from .errors import (
+    SIZE_GUARD,
     ConvergenceFailure,
     DomainError,
     InvariantViolation,
@@ -350,13 +351,11 @@ def evaluate(bound_id: str, q: float, r: int, delta: float) -> float:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    from . import galois
-
     n = int(q)
     if n < 2:
         raise DomainError(f"q = {q} is not a prime power")
-    if n > galois.SIZE_GUARD:  # every caller builds GF(q), which the guard refuses
-        raise TooLarge(f"q = {q} exceeds the field-size guard {galois.SIZE_GUARD}")
+    if n > SIZE_GUARD:  # bounds the trial division; no GF(q) is built above it
+        raise TooLarge(f"q = {q} exceeds the field-size guard {SIZE_GUARD}")
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -373,15 +372,36 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, w
 
 
+def locality_params(p: int, w: int) -> list[tuple[int, int, int]]:
+    """All (u, v, r) with u | gcd(p^v - 1, ell - 1), r = u p^v - 1 > 0, for
+    q = p^w with w even and ell = p^(w/2): the automorphism subgroups of
+    order r + 1 = u p^v that the tower constructions use.
+
+    Uses the v = 0 convention gcd(p^0 - 1, ell - 1) = ell - 1; sorted by r,
+    duplicates collapsed keeping the smallest v.  Integers only, so the
+    `bounds lists` commands build no field.
+    """
+    ell, wp = p ** (w // 2), w // 2
+    by_r: dict[int, tuple[int, int]] = {}
+    for v in range(wp + 1):
+        g = ell - 1 if v == 0 else gcd(p**v - 1, ell - 1)
+        for u in range(1, g + 1):
+            if g % u:
+                continue
+            r = u * p**v - 1
+            if r == 0:
+                continue
+            if r not in by_r or v < by_r[r][1]:
+                by_r[r] = (u, v)
+    return [(u, v, r) for r, (u, v) in sorted(by_r.items())]
+
+
 def admissible_localities(q: int) -> list[int]:
     """All admissible localities r = u p^v - 1 for the square prime power q."""
-    from . import galois, tower
-
     p, w = _prime_power(q)
     if w % 2:
         raise DomainError(f"q = {q} is not a square")
-    spec = galois.field_create(p, w)
-    return [r for (_, _, r) in tower.admissible_params(spec)]
+    return [r for (_, _, r) in locality_params(p, w)]
 
 
 def beats_gv_localities(q: int, delta: float, candidates) -> set[int]:

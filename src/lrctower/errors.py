@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all lrctower modules."""
+"""Exception hierarchy shared by all lrctower modules, and the size guard
+they enforce."""
+
+#: the largest field order any routine builds or factors; TooLarge above it
+SIZE_GUARD = 1 << 20
 
 
 class LrcError(Exception):

@@ -23,6 +23,7 @@ from operator import index as _integer
 from typing import Iterator, Sequence
 
 from .errors import (
+    SIZE_GUARD,
     DivideByZero,
     NoSquareRoot,
     NotAdmissible,
@@ -31,8 +32,6 @@ from .errors import (
     SpecMismatch,
     TooLarge,
 )
-
-SIZE_GUARD = 1 << 20  # largest field order for exhaustive routines
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
 

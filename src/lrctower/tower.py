@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
-from . import galois
+from . import bounds, galois
 from .errors import (
     DistanceNonpositive,
     InvariantViolation,
@@ -212,26 +211,11 @@ def genus(spec: galois.FieldSpec, m: int) -> int:
 
 
 def admissible_params(spec: galois.FieldSpec) -> list[tuple[int, int, int]]:
-    """All (u, v, r) with u | gcd(p^v - 1, ell - 1), r = u p^v - 1 > 0.
-
-    Uses the v = 0 convention gcd(p^0 - 1, ell - 1) = ell - 1; sorted by r,
-    duplicates collapsed keeping the smallest v.
-    """
+    """All (u, v, r) with u | gcd(p^v - 1, ell - 1), r = u p^v - 1 > 0, as
+    `bounds.locality_params` enumerates them; sorted by r."""
     if spec.ell is None:
         raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
-    p, ell, wp = spec.p, spec.ell, spec.w // 2
-    by_r: dict[int, tuple[int, int]] = {}
-    for v in range(wp + 1):
-        g = ell - 1 if v == 0 else gcd(p**v - 1, ell - 1)
-        for u in range(1, g + 1):
-            if g % u:
-                continue
-            r = u * p**v - 1
-            if r == 0:
-                continue
-            if r not in by_r or v < by_r[r][1]:
-                by_r[r] = (u, v)
-    return [(u, v, r) for r, (u, v) in sorted(by_r.items())]
+    return bounds.locality_params(spec.p, spec.w)
 
 
 def build_subgroup(spec: galois.FieldSpec, u: int, v: int) -> AutSubgroup:

@@ -149,8 +149,8 @@ def _probe(tmp_path, steps):
 def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
     """No CLI command loads numpy (only `all_codewords` and `tables()` do),
     and each loads only the submodules it runs: the bounds commands none
-    of codes, galois and tower, the lists and tower commands no codes,
-    and `code repair` and `code verify` no tower."""
+    of codes, galois and tower, the tower commands no codes, and `code
+    repair` and `code verify` no tower."""
     bare, field = "bounds,cli,errors", "bounds,cli,errors,galois,tower"
     code, full = "bounds,cli,codes,errors,galois", "bounds,cli,codes,errors,galois,tower"
     assert _probe(tmp_path, [
@@ -164,8 +164,8 @@ def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
         ["code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1", "--out", "c.json"],
     ]) == [
         f"import False {bare}", f"bounds eval False {bare}", f"bounds sweep False {bare}",
-        f"bounds s0 False {bare}", f"bounds lists False {field}",
-        f"bounds lists False {field}", f"tower orbits False {field}",
+        f"bounds s0 False {bare}", f"bounds lists False {bare}",
+        f"bounds lists False {bare}", f"tower orbits False {field}",
         f"code build False {full}",
     ]
     assert _probe(tmp_path, [
