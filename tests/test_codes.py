@@ -935,7 +935,7 @@ def test_scan_beyond_byte_symbols_and_byte_counts(p, w, n, k):
     if f.q ** k <= 1024:
         assert d == brute_distance(code)
     outcomes = collections.Counter()
-    for _ in range(3):
+    for _ in range(2):
         grouped = _random_groups(rng, code)
         expected = _projection_oracle(grouped)
         assert codes.verify_locality(grouped).exhaustive == expected
