@@ -23,8 +23,8 @@ repair by Lagrange interpolation round trips.  The two exhaustive checks
 read one blocked scan of codeword supports, `_nonzero_blocks`, in pure
 Python over byte lanes (one 0/1 byte per codeword in an int per
 coordinate).  Only `all_codewords`, the tests' enumeration oracle, loads
-numpy (through `FieldSpec.tables`); `tower` loads with the level-1
-builder, so repair and verification run without it.
+numpy (through `FieldSpec.tables`); `tower` loads with
+`build_rational_lrc`, so repair and verification run without it.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     constant on every orbit; that, and distinct values across orbits, is
     checked here before the generator is assembled.
     """
-    from . import tower  # only the builder needs it; repair and verify do not
+    from . import tower  # only this construction needs it; repair and verify do not
 
     group = tower.build_subgroup(spec, u, v)
     r = group.r
