@@ -456,41 +456,61 @@ def all_codewords(code: LinearCode, limit: int = 1 << 18):
     return words
 
 
-def _columns(f: galois.FieldSpec, rows, n: int) -> list:
-    """Column j of the span of the index rows: the symbols at j of its
-    q^len(rows) words in the order of `all_codewords`, as bytes when
-    q <= 256 and as a list otherwise.  A row's words m c (its digit m
-    slower) shift the span of the rows below it, one translate per m."""
-    q = f.q
-    if q <= 256:
-        add, mul, _ = f._byte_tables
-        if not rows:
-            return [b"\0"] * n
-        cols = [mul[c][:q] for c in rows[-1]]  # the last row's words m c
-        for row in reversed(rows[:-1]):
-            cols = [b"".join([col.translate(add[x]) for x in mul[c][:q]])
-                    for col, c in zip(cols, row)]
-    else:
-        add, mul = galois.index_ops(f)
-        cols = [[0]] * n
-        for row in reversed(rows):
-            cols = [[add(mul(m, c), x) for m in range(q) for x in col]
-                    for col, c in zip(cols, row)]
+def _columns(f: galois.FieldSpec, rows, n: int) -> list[bytes]:
+    """Column j of the span of the index rows, for q <= 256: the symbols at
+    j of its q^len(rows) words in the order of `all_codewords`.  A row's
+    words m c (its digit m slower) shift the span of the rows below it, one
+    translate per m."""
+    add, mul, _ = f._byte_tables
+    if not rows:
+        return [b"\0"] * n
+    cols = [mul[c][:f.q] for c in rows[-1]]  # the last row's words m c
+    for row in reversed(rows[:-1]):
+        cols = [b"".join([col.translate(add[x]) for x in mul[c][:f.q]])
+                for col, c in zip(cols, row)]
     return cols
 
 
 #: the most symbols a block of a scan holds, n q^b for b block rows
-_BLOCK_BYTES = 1 << 14
+_BLOCK_BYTES = 1 << 18
+
+#: the largest field a scan takes: a lane holds q bytes per coordinate
+_SCAN_Q = 4096
 
 
 def _block_rows(q: int, k: int, n: int) -> int:
-    """Rows b of the blocks `_nonzero_blocks` shifts, for k >= 1: for
-    q <= 256 the most with n q^b <= _BLOCK_BYTES, at least one; for
-    q > 256 one."""
+    """Rows b of a block of the span of k >= 1 rows: for q <= 256 the
+    most with n q^b <= _BLOCK_BYTES, at least one; for q > 256 one."""
     b = 1
     while q <= 256 and b < k and n * q ** (b + 1) <= _BLOCK_BYTES:
         b += 1
     return b
+
+
+def _span_words(f: galois.FieldSpec, rows, n: int):
+    """Each word of the span of the index rows, as n indices, in the order
+    of `all_codewords`.  Each word of the leading rows shifts the columns
+    of a block of the last `_block_rows` rows (for q > 256, adds the
+    multiples of the last row), so no more than one block of each level
+    is held at once, whatever q^len(rows)."""
+    q = f.q
+    if q > 256:
+        if not rows:
+            yield (0,) * n
+            return
+        add, mul = galois.index_ops(f)
+        for lead in _span_words(f, rows[:-1], n):
+            for m in range(q):
+                yield [add(a, mul(m, c)) for a, c in zip(lead, rows[-1])]
+        return
+    b = min(len(rows), _block_rows(q, len(rows), n))
+    block = _columns(f, rows[len(rows) - b:], n)
+    if b == len(rows):
+        yield from zip(*block)
+        return
+    add = f._byte_tables[0]
+    for lead in _span_words(f, rows[:-b], n):
+        yield from zip(*[col.translate(add[a]) for col, a in zip(block, lead)])
 
 
 def _nonzero_blocks(code: LinearCode):
@@ -498,23 +518,24 @@ def _nonzero_blocks(code: LinearCode):
     message order of `all_codewords`: word 0 of block 0 is the zero word.
 
     A block is the span of the last b = `_block_rows` message rows, and
-    each word `lead` spanned by the leading k - b rows shifts it.  The
-    block yields one int per coordinate j whose byte m is 1 where word m
-    of the shifted block is nonzero at j, else 0.  For q <= 256 that is
-    column j of the block translated through the field's nonzero[lead_j]
-    table.  When the leads outnumber the symbols (k - b >= 2) the q lanes
-    of each column are built once, at most q n q^b <= 4 MB within the
-    block bound.  A symbol above 255 does not fit a byte, so for q > 256
-    the block is the last row c alone, and lead_j + m c_j is zero only at
-    m = -lead_j / c_j (everywhere when lead_j = c_j = 0).
+    each word `lead` spanned by the leading k - b rows (`_span_words`)
+    shifts it.  The block yields one int per coordinate j whose byte m is
+    1 where word m of the shifted block is nonzero at j, else 0.  For
+    q <= 256 that is column j of the block translated through the field's
+    nonzero[lead_j] table.  A symbol above 255 does not fit a byte, so for
+    q > 256 the block is the last row c alone, and lead_j + m c_j is zero
+    only at m = -lead_j / c_j (everywhere when lead_j = c_j = 0).  Raises
+    TooLarge for q > _SCAN_Q.
     """
     f, k, n = code.field, code.k, code.n
     q, rows = f.q, code._rows
+    if q > _SCAN_Q:
+        raise TooLarge(f"codeword scans are limited to q <= {_SCAN_Q}, got q={q}")
     if not k:  # the zero word alone
         yield [0] * n
         return
     b = _block_rows(q, k, n)
-    leads = zip(*_columns(f, rows[:k - b], n))
+    leads = _span_words(f, rows[:k - b], n)
     if q > 256:
         exp, log, _ = f._logs
         ones = int.from_bytes(b"\1" * q, "little")
@@ -532,15 +553,9 @@ def _nonzero_blocks(code: LinearCode):
         return
     nonzero = f._byte_tables[2]
     block = _columns(f, rows[k - b:], n)
-    if k - b >= 2 and n * q**b <= _BLOCK_BYTES:
-        kept = [[int.from_bytes(col.translate(t), "little") for t in nonzero]
-                for col in block]
-        for lead in leads:
-            yield [lanes[a] for lanes, a in zip(kept, lead)]
-    else:
-        for lead in leads:
-            yield [int.from_bytes(col.translate(nonzero[a]), "little")
-                   for col, a in zip(block, lead)]
+    for lead in leads:
+        yield [int.from_bytes(col.translate(nonzero[a]), "little")
+               for col, a in zip(block, lead)]
 
 
 def _counts(lanes: list[int], size: int):

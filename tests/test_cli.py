@@ -285,6 +285,23 @@ def test_verify_of_an_n0_code_is_a_one_line_error(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("DomainError: ")
 
 
+def test_verify_scan_above_the_scan_field_is_a_one_line_error(tmp_path):
+    f = lrctower.galois.field_create(2, 13)  # q = 8192: a lane would hold 8192 bytes
+    code = tmp_path / "c.json"
+    code.write_text(json.dumps({
+        "field": f.to_json(), "n": 3, "k": 1, "r": 2, "construction": "naive",
+        "params": {"source": "generic"}, "repair_groups": [[0, 1, 2]],
+        "generator": [[[1] + [0] * 12, [0, 1] + [0] * 11, [1, 1] + [0] * 11]],
+        "y_values": None, "d_lower": 1,
+    }))
+    for flag in ("--distance", "--locality"):
+        result = invoke("code", "verify", str(code), flag)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        lines = result.stderr.strip().splitlines()
+        assert lines == ["TooLarge: codeword scans are limited to q <= 4096, got q=8192"]
+
+
 def test_huge_q_names_the_integer_the_float_holds():
     result = invoke("bounds", "eval", "--bound", "main", "--q", "1e30",
                     "--r", "2", "--delta", "0.5")

@@ -873,7 +873,9 @@ def test_exhaustive_locality_matches_projection_oracle(p, w):
 @pytest.mark.parametrize("p,w,u,v,s,source_r", [(5, 2, 4, 0, 0, None), (5, 2, 2, 0, 2, None),
                                                 (2, 6, 1, 1, 1, None), (3, 2, 1, 1, 1, None),
                                                 (3, 2, 1, 1, 1, 2)])
-def test_scan_over_several_blocks_matches_oracles(p, w, u, v, s, source_r):
+def test_scan_over_several_blocks_matches_oracles(monkeypatch, p, w, u, v, s, source_r):
+    # at the default bound most of these fit one block; 2^14 symbols splits each
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", 1 << 14)
     code = codes.build_rational_lrc(F(p, w), u, v, s)
     if source_r is not None:
         code = codes.naive_lrc(code, source_r)
@@ -943,22 +945,34 @@ def test_scan_beyond_byte_symbols_and_byte_counts(p, w, n, k):
     assert outcomes[True] and outcomes[False]
 
 
+@pytest.mark.parametrize("bound", [0, 64])
 @pytest.mark.parametrize("p,w,n,k", [(2, 1, 12, 6), (3, 1, 7, 4), (2, 2, 9, 3),
                                      (5, 1, 6, 3), (3, 2, 5, 2)])
-def test_scan_without_kept_lanes_matches(monkeypatch, p, w, n, k):
-    """With no room for a block beyond one row, every lead of several
-    rows translates its columns anew; the results stay the same."""
+def test_scan_with_small_blocks_matches(monkeypatch, bound, p, w, n, k):
+    """Under a small block bound the leads of several rows are built a
+    block at a time too: no column spans more than max(bound, n q)
+    symbols, and the results stay the same."""
     f = F(p, w)
-    rng = random.Random(f"nokeep:{p}:{w}:{n}:{k}")
+    rng = random.Random(f"small:{p}:{w}:{n}:{k}")
     code = _random_groups(rng, _random_full_rank_code(rng, f, k, n))
     expected = _projection_oracle(code)
     words = codes.all_codewords(code)
-    monkeypatch.setattr(codes, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", bound)
+    sizes = []
+    columns = codes._columns
+
+    def recorded(f, rows, n):
+        cols = columns(f, rows, n)
+        sizes.append(sum(map(len, cols)))
+        return cols
+
+    monkeypatch.setattr(codes, "_columns", recorded)
     masks, nblocks = _lane_masks(code)
-    assert nblocks == f.q ** (k - 1)
+    assert nblocks == f.q ** (k - codes._block_rows(f.q, k, n)) > 1
     assert (masks == (words != 0)).all()
     assert codes.min_distance(code) == brute_distance(code)
     assert codes.verify_locality(code).exhaustive == expected
+    assert max(sizes) <= max(bound, n * f.q)
 
 
 def test_code_of_length_zero_is_an_error():
