@@ -21,7 +21,7 @@ at the one critical point s0, or at s = 1 when h decreases throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt, log, log1p, sqrt
 
 from .errors import (
@@ -57,11 +57,8 @@ BEATS_TOL = 1e-9
 _DOMAIN_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class CurveRow:
-    delta: float
-    bound_id: str
-    value: float
+#: one sweep point: (delta: float, bound_id: str, value: float)
+CurveRow = namedtuple("CurveRow", "delta bound_id value")
 
 
 def _check_q(q: float) -> float:

@@ -712,30 +712,40 @@ def _decode(f: galois.FieldSpec, coefficient_lists) -> tuple[Element, ...]:
     return tuple(out)
 
 
+def _int(value, name: str) -> int:
+    """value itself if it is an int (not a bool, float or string); else
+    SpecMismatch, as for a digit in `_decode`."""
+    if type(value) is not int:
+        raise SpecMismatch(f"{name} {value!r} is not an integer")
+    return value
+
+
 def from_json(data) -> LinearCode:
-    """Rebuild a code from its JSON document (string or parsed dict); raises
-    SpecMismatch on malformed input and LengthMismatch on a wrong length."""
+    """Rebuild a code from its JSON document (string, bytes or parsed dict);
+    raises SpecMismatch on malformed input and LengthMismatch on a wrong
+    length."""
     try:
         if isinstance(data, (str, bytes)):
             data = json.loads(data)
         spec = galois.field_from_json(data["field"])
         gen = tuple(_decode(spec, row) for row in data["generator"])
         groups = (
-            tuple(tuple(g) for g in data["repair_groups"])
+            tuple(tuple(_int(i, "repair group entry") for i in g)
+                  for g in data["repair_groups"])
             if data.get("repair_groups") is not None
             else None
         )
         ys = _decode(spec, data["y_values"]) if data.get("y_values") is not None else None
         meta = {
             "construction": data.get("construction", "generic"),
-            "r": None if data.get("r") is None else int(data["r"]),
-            "d_lower": int(data.get("d_lower", 1)),
+            "r": None if data.get("r") is None else _int(data["r"], "r"),
+            "d_lower": _int(data.get("d_lower", 1), "d_lower"),
         }
         meta.update(data.get("params", {}))
         return LinearCode(
             field=spec,
-            n=int(data["n"]),
-            k=int(data["k"]),
+            n=_int(data["n"], "n"),
+            k=_int(data["k"], "k"),
             generator=gen,
             repair_groups=groups,
             y_values=ys,

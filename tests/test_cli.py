@@ -1,17 +1,48 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
-from click.testing import CliRunner
 
 import lrctower
 from lrctower import cli
 
 
+class _Tee(io.StringIO):
+    """A captured stream that also writes into a shared one."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text):
+        self.shared.write(text)
+        return super().write(text)
+
+
 def invoke(*args):
-    return CliRunner().invoke(cli.main, list(args))
+    """Run the CLI in this process.  The result holds the exit code, stdout,
+    stderr, both streams in the order they were written (`output`), and the
+    exception the run ended with: a SystemExit for a nonzero exit code, None
+    for a zero one, and anything else the CLI let escape (exit code 1)."""
+    output = io.StringIO()
+    stdout, stderr = _Tee(output), _Tee(output)
+    exit_code, exception = 0, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            cli.main(args)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return types.SimpleNamespace(exit_code=exit_code, stdout=stdout.getvalue(),
+                                 stderr=stderr.getvalue(), output=output.getvalue(),
+                                 exception=exception)
 
 
 def test_bounds_eval_main():
@@ -27,10 +58,49 @@ def test_bounds_eval_domain_error_exit_code():
     assert result.exit_code == 1
 
 
-def test_usage_error_exit_code():
-    result = invoke("bounds", "eval", "--bound", "nosuch", "--q", "4",
-                    "--delta", "0.1")
+@pytest.mark.parametrize("args", [
+    pytest.param(["bounds", "eval", "--bound", "nosuch", "--q", "4", "--delta", "0.1"],
+                 id="unknown-bound"),
+    pytest.param(["bounds", "lists", "--ref"], id="abbreviated-option"),
+    pytest.param(["bounds", "lists", "--nosuch"], id="unknown-option"),
+    pytest.param(["bounds", "eval", "--q", "256", "--delta", "0.5"], id="missing-option"),
+    pytest.param(["bounds", "lists", "--q", "256.0"], id="float-for-int"),
+    pytest.param(["bounds", "eval", "--bound", "main", "--q", "256", "--r", "x",
+                  "--delta", "0.5"], id="bad-int"),
+    pytest.param(["code", "verify", "no/such/file.json"], id="missing-code-file"),
+    pytest.param([], id="no-subcommand"),
+    pytest.param(["bounds"], id="bare-group"),
+    pytest.param(["bounds", "s0", "--q", "256", "--r", "2", "extra"], id="extra-positional"),
+    pytest.param(["bounds", "sweep", "--bounds", "main", "--q", "729", "--r", "2",
+                  "--delta-min", "0", "--delta-max", "0.5", "--steps", "1"], id="one-step"),
+])
+def test_usage_error_exit_code(args):
+    result = invoke(*args)
     assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+def test_sweep_without_bound_ids_is_a_usage_error():
+    result = invoke("bounds", "sweep", "--bounds", ",,,", "--q", "729", "--r", "2",
+                    "--delta-min", "0", "--delta-max", "0.5", "--steps", "3")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--bounds names no bound id" in result.stderr
+
+
+def test_option_values_may_start_with_a_dash():
+    result = invoke("bounds", "sweep", "--bounds", "main", "--q", "729", "--r", "2",
+                    "--delta-min", "-1e-3", "--delta-max", "0.5", "--steps", "3")
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[1] == "-0.001,main,nan"
+    result = invoke("bounds", "eval", "--bound", "gv", "--q", "-inf", "--r", "2",
+                    "--delta", "0.5")
+    assert result.exit_code == 1
+    assert result.stderr == "DomainError: q must be finite and >= 2, got -inf\n"
+    result = invoke("bounds", "eval", "--bound", "main", "--q", "256", "--r", "2",
+                    "--delta", "0.5", "--")
+    assert result.exit_code == 0
+    assert result.stdout == f"main(q=256, r=2, delta=0.5) = {103 / 360!r}\n"
 
 
 def test_bounds_lists_q256():
@@ -119,18 +189,17 @@ def test_code_pipeline(tmp_path):
 
 
 _NUMPY_PROBE = """
-import json, sys
-from click.testing import CliRunner
+import contextlib, io, json, sys
 from lrctower import cli
 
 def loaded():
     mods = sorted(m.split(".")[1] for m in sys.modules if m.startswith("lrctower."))
-    return "numpy" in sys.modules, ",".join(mods)
+    return "numpy" in sys.modules, "click" in sys.modules, ",".join(mods)
 
 print("import", *loaded())
 for args in json.loads(sys.stdin.read()):
-    result = CliRunner().invoke(cli.main, args)
-    assert result.exit_code == 0, result.output
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(args)
     print(" ".join(args[:2]), *loaded())
 """
 
@@ -147,10 +216,10 @@ def _probe(tmp_path, steps):
 
 
 def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
-    """No CLI command loads numpy (only `all_codewords` and `tables()` do),
-    and each loads only the submodules it runs: the bounds commands none
-    of codes, galois and tower, the tower commands no codes, and `code
-    repair` and `code verify` no tower."""
+    """No CLI command loads numpy (only `all_codewords` and `tables()` do)
+    or click, and each loads only the submodules it runs: the bounds
+    commands none of codes, galois and tower, the tower commands no codes,
+    and `code repair` and `code verify` no tower."""
     bare, field = "bounds,cli,errors", "bounds,cli,errors,galois,tower"
     code, full = "bounds,cli,codes,errors,galois", "bounds,cli,codes,errors,galois,tower"
     assert _probe(tmp_path, [
@@ -163,15 +232,16 @@ def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
         ["tower", "orbits", "--q", "9", "--m", "1", "--u", "1", "--v", "1"],
         ["code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1", "--out", "c.json"],
     ]) == [
-        f"import False {bare}", f"bounds eval False {bare}", f"bounds sweep False {bare}",
-        f"bounds s0 False {bare}", f"bounds lists False {bare}",
-        f"bounds lists False {bare}", f"tower orbits False {field}",
-        f"code build False {full}",
+        f"import False False {bare}", f"bounds eval False False {bare}",
+        f"bounds sweep False False {bare}", f"bounds s0 False False {bare}",
+        f"bounds lists False False {bare}", f"bounds lists False False {bare}",
+        f"tower orbits False False {field}", f"code build False False {full}",
     ]
     assert _probe(tmp_path, [
         ["code", "repair", "c.json", "--word", "4,7,?,1,0,3"],
         ["code", "verify", "c.json", "--distance", "--locality"],
-    ]) == [f"import False {bare}", f"code repair False {code}", f"code verify False {code}"]
+    ]) == [f"import False False {bare}", f"code repair False False {code}",
+           f"code verify False False {code}"]
 
 
 def test_lazy_submodules_load_on_first_use():
@@ -237,6 +307,12 @@ def test_no_temp_files_left(tmp_path):
     pytest.param(["bounds", "sweep", "--bounds", "main,gv", "--q", "729", "--r", "2",
                   "--delta-min", "0", "--delta-max", "0.5", "--steps", "100000000"],
                  "TooLarge", id="huge-steps"),
+    pytest.param(["code", "verify", "DIR"], "SpecMismatch", id="verify-directory"),
+    pytest.param(["code", "repair", "DIR", "--word", "?"], "SpecMismatch",
+                 id="repair-directory"),
+    pytest.param(["code", "verify", "LATIN1"], "SpecMismatch", id="verify-not-utf8"),
+    pytest.param(["code", "repair", "LATIN1", "--word", "?"], "SpecMismatch",
+                 id="repair-not-utf8"),
 ])
 def test_bad_input_is_a_one_line_error_with_exit_1(tmp_path, args, error):
     code = tmp_path / "c.json"
@@ -246,7 +322,10 @@ def test_bad_input_is_a_one_line_error_with_exit_1(tmp_path, args, error):
     del doc["field"]
     nofield = tmp_path / "nofield.json"
     nofield.write_text(json.dumps(doc))
-    files = {"CODE": str(code), "NOFIELD": str(nofield)}
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(code.read_bytes().replace(b"rational-aut", b"rational-\xe4ut"))
+    files = {"CODE": str(code), "NOFIELD": str(nofield), "DIR": str(tmp_path),
+             "LATIN1": str(latin1)}
     result = invoke(*(files.get(arg, arg) for arg in args))
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not a traceback

@@ -651,6 +651,15 @@ def _mangled(edit):
     pytest.param(lambda d: d["generator"][0].__setitem__(0, [1]), SpecMismatch,
                  id="coeff-count"),
     pytest.param(lambda d: d.update(d_lower=None), SpecMismatch, id="d_lower-null"),
+    pytest.param(lambda d: d.update(d_lower=float("1e400")), SpecMismatch, id="d_lower-1e400"),
+    pytest.param(lambda d: d.update(n=float("1e400")), SpecMismatch, id="n-1e400"),
+    pytest.param(lambda d: d.update(k=float("1e400")), SpecMismatch, id="k-1e400"),
+    pytest.param(lambda d: d.update(r=float("1e400")), SpecMismatch, id="r-1e400"),
+    pytest.param(lambda d: d.update(n=2.9), SpecMismatch, id="n-float"),
+    pytest.param(lambda d: d.update(k=True), SpecMismatch, id="k-bool"),
+    pytest.param(lambda d: d.update(r=2.0), SpecMismatch, id="r-float"),
+    pytest.param(lambda d: d["repair_groups"].__setitem__(0, [0.0, 1.0, 2.0]), SpecMismatch,
+                 id="group-entry-float"),
     pytest.param(lambda d: d["generator"][0].pop(), LengthMismatch, id="short-row"),
     pytest.param(lambda d: d["y_values"].pop(), LengthMismatch, id="short-y_values"),
 ])
