@@ -246,7 +246,7 @@ def _subcommands(parser):
     return parser.add_subparsers(metavar="COMMAND", required=True, parser_class=_parser)
 
 
-def build_parser(prog: str | None = None) -> argparse.ArgumentParser:
+def _build_parser(prog: str | None = None) -> argparse.ArgumentParser:
     """The parser: a subcommand per group, and under it one per command."""
     top = _parser(prog, "Locally repairable codes: bounds, tower data, code construction.")
     groups = _subcommands(top)
@@ -279,7 +279,7 @@ def _attach_values(args) -> list[str]:
 
 def main(args=None, prog_name: str | None = None) -> None:
     """Run one command; an LrcError exits 1 with one line on stderr."""
-    ns = build_parser(prog_name or "lrctower").parse_args(_attach_values(args))
+    ns = _build_parser(prog_name or "lrctower").parse_args(_attach_values(args))
     try:
         ns.run(ns)
     except LrcError as exc:
