@@ -736,12 +736,12 @@ def from_json(data) -> LinearCode:
             else None
         )
         ys = _decode(spec, data["y_values"]) if data.get("y_values") is not None else None
-        meta = {
-            "construction": data.get("construction", "generic"),
-            "r": None if data.get("r") is None else _int(data["r"], "r"),
-            "d_lower": _int(data.get("d_lower", 1), "d_lower"),
-        }
-        meta.update(data.get("params", {}))
+        meta = dict(data.get("params", {}))  # r and d_lower come from their own fields
+        meta.update(
+            construction=data.get("construction", "generic"),
+            r=None if data.get("r") is None else _int(data["r"], "r"),
+            d_lower=_int(data.get("d_lower", 1), "d_lower"),
+        )
         return LinearCode(
             field=spec,
             n=_int(data["n"], "n"),

@@ -668,6 +668,11 @@ def test_from_json_rejects_malformed_documents(edit, error):
         codes.from_json(_mangled(edit))
 
 
+def test_from_json_params_do_not_replace_checked_fields():
+    code = codes.from_json(_mangled(lambda d: d["params"].update(r="x", d_lower="x")))
+    assert code.meta["r"] == 2 and code.meta["d_lower"] == 2
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d["generator"][1].__setitem__(2, [3, 0]), id="digit-p"),
     pytest.param(lambda d: d["generator"][0].__setitem__(5, [0, 7]), id="digit-above-p"),
