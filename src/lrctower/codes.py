@@ -736,7 +736,7 @@ def from_json(data) -> LinearCode:
             else None
         )
         ys = _decode(spec, data["y_values"]) if data.get("y_values") is not None else None
-        meta = dict(data.get("params", {}))  # r and d_lower come from their own fields
+        meta = dict(data.get("params", {}))  # params never replace the checked fields
         meta.update(
             construction=data.get("construction", "generic"),
             r=None if data.get("r") is None else _int(data["r"], "r"),
