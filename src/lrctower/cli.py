@@ -173,13 +173,17 @@ def code_repair(a):
     from . import codes
 
     code = _load_code(a)
+    q = code.field.q
     symbols = []
     for part in a.word.split(","):
         part = part.strip()
         try:
-            symbols.append(None if part == "?" else int(part))
+            sym = None if part == "?" else int(part)
         except ValueError:
             raise SpecMismatch(f"word symbol {part!r} is not an index") from None
+        if sym is not None and not 0 <= sym < q:  # every symbol, not only group mates
+            raise SpecMismatch(f"index {sym} outside [0, {q})")
+        symbols.append(sym)
     if len(symbols) != code.n:
         a.usage(f"word must have n = {code.n} symbols")
     idx = a.idx

@@ -6,15 +6,19 @@ the orbit-invariant polynomial of degree r+1 (checked there, per orbit);
 `naive_lrc` augments any linear code with disjoint all-ones parity rows of
 weight r+1.
 
-A code keeps its generator and y values as elements for the API;
-`LinearCode.__post_init__` turns them into canonical indices (rejecting
-entries from another field), every operation runs on those, and elements
-reappear only in what the API returns.  The level-1 builder works on
-indices too (t by Horner's rule, the rows as running products of logs),
-and `from_json` reads each coefficient list in one pass.  One repair
-formula serves both builders: the erased symbol is sum_j lambda_j y_j
-over its group mates, with Lagrange weights at the y values (kept per
-coordinate after the first repair), or lambda_j = -1 for naive codes.
+A code stores its generator rows and y values as canonical indices and
+nothing else.  The public `LinearCode` constructor takes elements (it
+rejects integers and entries from another field) and keeps their indices;
+the builders and `from_json` hand their index rows to
+`LinearCode._of_indices`, which runs the same checks.  `generator` and
+`y_values` build elements on demand, and otherwise elements appear only
+in what the API returns.  The level-1 builder evaluates t by Horner's
+rule and the rows as running products of logs, `from_json` decodes each
+coefficient list to an index in one pass, and `to_json` writes the digits
+of the indices.  One repair formula serves both builders: the erased
+symbol is sum_j lambda_j y_j over its group mates, with Lagrange weights
+at the y values (kept per coordinate after the first repair), or
+lambda_j = -1 for naive codes.
 
 Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword supports), the
@@ -32,7 +36,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from . import galois
 from .errors import (
@@ -146,11 +150,6 @@ def _indices(f: galois.FieldSpec, entries, ints: bool = False) -> tuple[int, ...
     return tuple(out)
 
 
-def _elements(f: galois.FieldSpec, rows) -> tuple[tuple[Element, ...], ...]:
-    """The index rows as rows of elements of f."""
-    return tuple(tuple(Element(f, i) for i in row) for row in rows)
-
-
 def _dot(f: galois.FieldSpec, logs, xs) -> int:
     """sum_j g^logs[j] * xs[j] over canonical indices, where g is the
     field's primitive element and a log of -1 is a zero weight."""
@@ -201,53 +200,71 @@ def null_space(f: galois.FieldSpec, rows) -> list[list[Element]]:
 
 # -- the code object -----------------------------------------------------------
 
-@dataclass
 class LinearCode:
     """A linear code with optional repair-group partition.
 
-    meta carries: construction ("rational-aut" | "naive" | free-form), r,
-    d_lower, and the construction parameters (u, v, s) or source tag.
-    Operations read the indices taken at construction; do not mutate a code.
+    The generator rows and y values are given as elements of `field` and
+    stored as canonical indices in `_rows` and `_ys`; `generator` and
+    `y_values` read them back as elements.  meta carries: construction
+    ("rational-aut" | "naive" | free-form), r, d_lower, and the
+    construction parameters (u, v, s) or source tag.  Operations read the
+    indices taken at construction; do not mutate a code.
     """
 
-    field: galois.FieldSpec
-    n: int
-    k: int
-    generator: tuple[tuple[Element, ...], ...]
-    repair_groups: tuple[tuple[int, ...], ...] | None = None
-    y_values: tuple[Element, ...] | None = None
-    meta: dict = dc_field(default_factory=dict)
+    def __init__(self, field: galois.FieldSpec, n: int, k: int, generator,
+                 repair_groups: tuple[tuple[int, ...], ...] | None = None,
+                 y_values=None, meta: dict | None = None):
+        self._setup(field, n, k, generator, repair_groups, y_values, meta,
+                    lambda entries: _indices(field, entries))
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"a code needs length n >= 1, got n = {self.n}")
-        if len(self.generator) != self.k:
-            raise LengthMismatch(
-                f"generator has {len(self.generator)} rows, expected k = {self.k}"
-            )
-        for row in self.generator:
-            if len(row) != self.n:
-                raise LengthMismatch(
-                    f"generator row of length {len(row)}, expected n = {self.n}"
-                )
-        if self.y_values is not None and len(self.y_values) != self.n:
-            raise LengthMismatch(f"{len(self.y_values)} y values, expected n = {self.n}")
-        self._rows = [_indices(self.field, row) for row in self.generator]
-        self._ys = None if self.y_values is None else _indices(self.field, self.y_values)
+    @classmethod
+    def _of_indices(cls, field: galois.FieldSpec, n: int, k: int, rows,
+                    repair_groups=None, ys=None, meta: dict | None = None) -> LinearCode:
+        """A code from index rows and index y values, with the checks of the
+        public constructor."""
+        code = cls.__new__(cls)
+        code._setup(field, n, k, rows, repair_groups, ys, meta, tuple)
+        return code
+
+    def _setup(self, field, n, k, rows, repair_groups, ys, meta, read) -> None:
+        """Check the shape, store the entries `read` makes of each row and of
+        the y values, then check the rank and the repair groups."""
+        if n < 1:
+            raise DomainError(f"a code needs length n >= 1, got n = {n}")
+        if len(rows) != k:
+            raise LengthMismatch(f"generator has {len(rows)} rows, expected k = {k}")
+        for row in rows:
+            if len(row) != n:
+                raise LengthMismatch(f"generator row of length {len(row)}, expected n = {n}")
+        if ys is not None and len(ys) != n:
+            raise LengthMismatch(f"{len(ys)} y values, expected n = {n}")
+        self.field, self.n, self.k = field, n, k
+        self.repair_groups = repair_groups
+        self.meta = {} if meta is None else meta
+        self._rows = [read(row) for row in rows]
+        self._ys = None if ys is None else read(ys)
         self._weight_logs: dict[int, list[int]] = {}  # repair weights per coordinate
-        if len(_rref(self.field, self._rows)[1]) != self.k:
-            raise RankDeficiency(f"generator rank below k = {self.k}")
-        if self.repair_groups is not None:
-            covered = sorted(i for g in self.repair_groups for i in g)
-            if covered != list(range(self.n)):
+        if len(_rref(field, self._rows)[1]) != k:
+            raise RankDeficiency(f"generator rank below k = {k}")
+        if repair_groups is not None:
+            covered = sorted(i for g in repair_groups for i in g)
+            if covered != list(range(n)):
                 raise InvariantViolation("repair groups do not partition coordinates")
             r = self.meta.get("r")
             if r is not None:
-                for g in self.repair_groups:
+                for g in repair_groups:
                     if len(g) != r + 1:
                         raise InvariantViolation(
                             f"repair group of size {len(g)}, expected r+1 = {r + 1}"
                         )
+
+    @property
+    def generator(self) -> tuple[tuple[Element, ...], ...]:
+        return tuple(tuple(Element(self.field, i) for i in row) for row in self._rows)
+
+    @property
+    def y_values(self) -> tuple[Element, ...] | None:
+        return None if self._ys is None else tuple(Element(self.field, y) for y in self._ys)
 
     def group_of(self, idx: int) -> tuple[int, ...]:
         if self.repair_groups is None:
@@ -258,12 +275,7 @@ class LinearCode:
         raise NoGroups(f"coordinate {idx} not in any group")  # pragma: no cover
 
 
-@dataclass
-class LocalityReport:
-    r: int
-    algebraic: list[bool]
-    exhaustive: list[bool] | None
-    passed: bool
+LocalityReport = namedtuple("LocalityReport", "r algebraic exhaustive passed")
 
 
 # -- builders -------------------------------------------------------------------
@@ -334,22 +346,8 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     if len({tvals[g[0]] for g in groups}) != len(groups):
         raise InvariantViolation("t collides on distinct orbits")
     rows = _evaluation_rows(spec, tvals, ys, r, s)
-    return LinearCode(
-        field=spec,
-        n=n,
-        k=r * (s + 1),
-        generator=_elements(spec, rows),
-        repair_groups=tuple(groups),
-        y_values=tuple(Element(spec, y) for y in ys),
-        meta={
-            "construction": "rational-aut",
-            "u": u,
-            "v": v,
-            "s": s,
-            "r": r,
-            "d_lower": d_lb,
-        },
-    )
+    meta = {"construction": "rational-aut", "u": u, "v": v, "s": s, "r": r, "d_lower": d_lb}
+    return LinearCode._of_indices(spec, n, r * (s + 1), rows, tuple(groups), ys, meta)
 
 
 def naive_lrc(code: LinearCode, r: int) -> LinearCode:
@@ -367,19 +365,9 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
     groups = tuple(tuple(range(t, t + r + 1)) for t in range(0, n, r + 1))
     ones = [[int(j in g) for j in range(n)] for g in groups]
     gen = _null_space(f, _null_space(f, code._rows) + ones)
-    return LinearCode(
-        field=f,
-        n=n,
-        k=len(gen),
-        generator=_elements(f, gen),
-        repair_groups=groups,
-        meta={
-            "construction": "naive",
-            "source": code.meta.get("construction", "generic"),
-            "r": r,
-            "d_lower": code.meta.get("d_lower", 1),
-        },
-    )
+    meta = {"construction": "naive", "source": code.meta.get("construction", "generic"),
+            "r": r, "d_lower": code.meta.get("d_lower", 1)}
+    return LinearCode._of_indices(f, n, len(gen), gen, groups, meta=meta)
 
 
 # -- operations -----------------------------------------------------------------
@@ -664,7 +652,7 @@ def to_json(code: LinearCode) -> str:
     at ~0.2 MB instead of ~1.3 MB).  A key in the text cannot be matched
     inside a string value, whose quotes are escaped.
     """
-    meta = code.meta
+    meta, digits, p, w = code.meta, galois._digits, code.field.p, code.field.w
     if meta.get("construction") == "rational-aut":
         params = {"u": meta["u"], "v": meta["v"], "s": meta["s"]}
     else:
@@ -682,22 +670,19 @@ def to_json(code: LinearCode) -> str:
             if code.repair_groups is not None
             else None
         ),
-        "y_values": (
-            [y.to_json() for y in code.y_values]
-            if code.y_values is not None
-            else None
-        ),
+        "y_values": None if code._ys is None else [digits(y, p, w) for y in code._ys],
         "d_lower": meta.get("d_lower", 1),
     }
-    rows = ",".join(json.dumps([e.to_json() for e in row], separators=(",", ":"))
-                    for row in code.generator)
+    rows = ",".join(json.dumps([digits(i, p, w) for i in row], separators=(",", ":"))
+                    for row in code._rows)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return text.replace('"generator":null', f'"generator":[{rows}]', 1)
 
 
-def _decode(f: galois.FieldSpec, coefficient_lists) -> tuple[Element, ...]:
-    """Elements of f from their coefficient lists (low degree first), each
-    read in one pass; SpecMismatch unless it holds w integers in [0, p)."""
+def _decode(f: galois.FieldSpec, coefficient_lists) -> tuple[int, ...]:
+    """Canonical indices of f from their coefficient lists (low degree
+    first), each read in one pass; SpecMismatch unless it holds w integers
+    in [0, p)."""
     p, w = f.p, f.w
     out = []
     for coeffs in coefficient_lists:
@@ -708,7 +693,7 @@ def _decode(f: galois.FieldSpec, coefficient_lists) -> tuple[Element, ...]:
             if type(c) is not int or not 0 <= c < p:
                 raise SpecMismatch(f"coefficient {c!r} is not an integer in [0, {p})")
             i = i * p + c
-        out.append(Element(f, i))
+        out.append(i)
     return tuple(out)
 
 
@@ -728,7 +713,7 @@ def from_json(data) -> LinearCode:
         if isinstance(data, (str, bytes)):
             data = json.loads(data)
         spec = galois.field_from_json(data["field"])
-        gen = tuple(_decode(spec, row) for row in data["generator"])
+        rows = [_decode(spec, row) for row in data["generator"]]
         groups = (
             tuple(tuple(_int(i, "repair group entry") for i in g)
                   for g in data["repair_groups"])
@@ -736,21 +721,16 @@ def from_json(data) -> LinearCode:
             else None
         )
         ys = _decode(spec, data["y_values"]) if data.get("y_values") is not None else None
-        meta = dict(data.get("params", {}))  # params never replace the checked fields
-        meta.update(
-            construction=data.get("construction", "generic"),
-            r=None if data.get("r") is None else _int(data["r"], "r"),
-            d_lower=_int(data.get("d_lower", 1), "d_lower"),
-        )
-        return LinearCode(
-            field=spec,
-            n=_int(data["n"], "n"),
-            k=_int(data["k"], "k"),
-            generator=gen,
-            repair_groups=groups,
-            y_values=ys,
-            meta=meta,
-        )
+        # params never supply the checked fields; a null r stays out of meta,
+        # so verify_locality computes it as for a code built without one
+        meta = dict(data.get("params", {}))
+        meta.pop("r", None)
+        if data.get("r") is not None:
+            meta["r"] = _int(data["r"], "r")
+        meta.update(construction=data.get("construction", "generic"),
+                    d_lower=_int(data.get("d_lower", 1), "d_lower"))
+        return LinearCode._of_indices(spec, _int(data["n"], "n"), _int(data["k"], "k"),
+                                      rows, groups, ys, meta)
     except LrcError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

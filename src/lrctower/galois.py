@@ -11,7 +11,9 @@ logarithms log(1 + g^k), which a field builds on its first operation.
 For even w the field carries ell = p^(w/2) = sqrt(q) and the subfield
 F_ell is characterized as the fixed set of the ell-power map.  On top of
 that live the additive kernel {a : a^ell + a = 0}, the unit subgroups
-H <= F_ell^* and the repair subspaces W used by the tower constructions.
+H <= F_ell^* and the repair subspaces W used by the tower constructions;
+all three are built over indices (scans of the logs, powers of g and an
+index span) and returned as sorted element lists.
 """
 
 from __future__ import annotations
@@ -383,30 +385,38 @@ def index_ops(spec: FieldSpec):
     return add, mul
 
 
+def _roots(spec: FieldSpec, e: int, c: int) -> list[int]:
+    """0 and the nonzero x with x^e = c, as ascending indices, for an
+    index c != 0: a scan of the logs for log(x) e = log(c) mod q - 1."""
+    log = spec._logs[1]
+    m, lc = spec.q - 1, log[c]
+    return [0] + [x for x in range(1, spec.q) if log[x] * e % m == lc]
+
+
 def artin_schreier_kernel(spec: FieldSpec) -> list[FieldElement]:
-    """All a in GF(q) with a^ell + a = 0, in canonical order (size ell)."""
+    """All a in GF(q) with a^ell + a = 0, in canonical order (size ell):
+    0 and the a with a^(ell-1) = -1."""
     ell = _require_square(spec)
-    kernel = [a for a in spec.elements() if (a**ell + a).is_zero()]
+    kernel = _roots(spec, ell - 1, spec.p - 1)
     if len(kernel) != ell:
         raise SpecMismatch(
             f"kernel size {len(kernel)} != ell = {ell}"
         )  # pragma: no cover - structural
-    return kernel
+    return [FieldElement(spec, a) for a in kernel]
 
 
 def unit_subgroup(spec: FieldSpec, u: int) -> list[FieldElement]:
-    """The unique subgroup of F_ell^* of order u, as a canonical-order list."""
+    """The unique subgroup of F_ell^* of order u, as a canonical-order list:
+    the powers g^(j (q-1)/u) of the primitive element g, which lie in
+    F_ell^* because u divides ell - 1."""
     ell = _require_square(spec)
     if u < 1 or (ell - 1) % u != 0:
         raise NotDivisor(f"u = {u} does not divide ell - 1 = {ell - 1}")
-    group = [
-        x
-        for x in spec.elements()
-        if not x.is_zero() and (x**u) == spec.one() and x**ell == x
-    ]
+    exp, step = spec._logs[0], (spec.q - 1) // u
+    group = sorted({exp[j * step] for j in range(u)})
     if len(group) != u:  # pragma: no cover - structural
         raise SpecMismatch(f"subgroup size {len(group)} != u = {u}")
-    return group
+    return [FieldElement(spec, x) for x in group]
 
 
 def subgroup_exponent(u: int, p: int) -> int:
@@ -442,7 +452,7 @@ def repair_subspace(spec: FieldSpec, u: int, v: int) -> list[FieldElement]:
     """The F_{p^h}-subspace W of the additive kernel with |W| = p^v.
 
     Deterministic: span of the first v/h independent kernel elements in
-    canonical order, where h = subgroup_exponent(u, p).
+    canonical order, where h = subgroup_exponent(u, p), built over indices.
     """
     check_admissible(spec, u, v)
     p = spec.p
@@ -453,17 +463,17 @@ def repair_subspace(spec: FieldSpec, u: int, v: int) -> list[FieldElement]:
     kernel = artin_schreier_kernel(spec)
     if dim == 0:
         return [spec.zero()]
-    ph = p**h
-    subfield = [x for x in spec.elements() if x**ph == x]
-    span = {spec.zero()}
+    subfield = _roots(spec, p**h - 1, 1)  # F_{p^h}: 0 and the x with x^(p^h - 1) = 1
+    add, mul = index_ops(spec)
+    span = {0}
     basis = 0
-    for cand in kernel:
+    for cand in (a.index for a in kernel):
         if cand in span:
             continue
-        span = {s + c * cand for s in span for c in subfield}
+        span = {add(s, mul(c, cand)) for s in span for c in subfield}
         basis += 1
         if basis == dim:
             break
     if len(span) != p**v:  # pragma: no cover - structural
         raise NotAdmissible(f"|W| = {len(span)} != p^v = {p ** v}")
-    return sorted(span)
+    return [FieldElement(spec, x) for x in sorted(span)]

@@ -8,14 +8,14 @@ additive kernel; subgroups of order u * p^v are assembled from a unit
 subgroup H and a repair subspace W.
 
 Subgroups, place enumeration and orbits run over canonical indices (index
-pairs (c, a) and index tuples), with every structural check kept there;
-`TowerPlace`, `AutMap` and `AutSubgroup.elements` are the element-level
-boundary types.
+pairs (c, a) and index tuples), with every structural check kept there.
+Elements appear only in what the API returns: `TowerPlace` and `AutMap`
+(immutable named tuples) and `AutSubgroup.elements`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import bounds, galois
@@ -31,12 +31,10 @@ from .errors import (
 PLACE_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class TowerPlace:
-    """A rational place of T_m as its coordinate tuple."""
+class TowerPlace(namedtuple("TowerPlace", "level coords")):
+    """A rational place of T_m as its level and coordinate tuple."""
 
-    level: int
-    coords: tuple[galois.FieldElement, ...]
+    __slots__ = ()
 
     def key(self) -> tuple[int, ...]:
         """Canonical sort key: the tuple of element indices."""
@@ -46,12 +44,10 @@ class TowerPlace:
         return [c.to_json() for c in self.coords]
 
 
-@dataclass(frozen=True)
-class AutMap:
+class AutMap(namedtuple("AutMap", "c a")):
     """One automorphism, stored as its (c, a) pair."""
 
-    c: galois.FieldElement
-    a: galois.FieldElement
+    __slots__ = ()
 
     def key(self) -> tuple[int, int]:
         return (self.c.index, self.a.index)

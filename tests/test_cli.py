@@ -188,7 +188,8 @@ from lrctower import cli
 
 def loaded():
     mods = sorted(m.split(".")[1] for m in sys.modules if m.startswith("lrctower."))
-    return "numpy" in sys.modules, "click" in sys.modules, ",".join(mods)
+    return ("numpy" in sys.modules, "click" in sys.modules, "dataclasses" in sys.modules,
+            ",".join(mods))
 
 print("import", *loaded())
 for args in json.loads(sys.stdin.read()):
@@ -210,8 +211,8 @@ def _probe(tmp_path, steps):
 
 
 def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
-    """No CLI command loads numpy (only `all_codewords` and `tables()` do)
-    or click, and each loads only the submodules it runs: the bounds
+    """No CLI command loads numpy (only `all_codewords` and `tables()` do),
+    click or dataclasses, and each loads only the submodules it runs: the bounds
     commands none of codes, galois and tower, the tower commands no codes,
     and `code repair` and `code verify` no tower."""
     bare, field = "bounds,cli,errors", "bounds,cli,errors,galois,tower"
@@ -226,16 +227,16 @@ def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
         ["tower", "orbits", "--q", "9", "--m", "1", "--u", "1", "--v", "1"],
         ["code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1", "--out", "c.json"],
     ]) == [
-        f"import False False {bare}", f"bounds eval False False {bare}",
-        f"bounds sweep False False {bare}", f"bounds s0 False False {bare}",
-        f"bounds lists False False {bare}", f"bounds lists False False {bare}",
-        f"tower orbits False False {field}", f"code build False False {full}",
+        f"import False False False {bare}", f"bounds eval False False False {bare}",
+        f"bounds sweep False False False {bare}", f"bounds s0 False False False {bare}",
+        f"bounds lists False False False {bare}", f"bounds lists False False False {bare}",
+        f"tower orbits False False False {field}", f"code build False False False {full}",
     ]
     assert _probe(tmp_path, [
         ["code", "repair", "c.json", "--word", "4,7,?,1,0,3"],
         ["code", "verify", "c.json", "--distance", "--locality"],
-    ]) == [f"import False False {bare}", f"code repair False False {code}",
-           f"code verify False False {code}"]
+    ]) == [f"import False False False {bare}", f"code repair False False False {code}",
+           f"code verify False False False {code}"]
 
 
 def test_lazy_submodules_load_on_first_use():
@@ -287,6 +288,10 @@ def test_no_temp_files_left(tmp_path):
     pytest.param(["code", "verify", "NOFIELD"], "SpecMismatch", id="missing-field"),
     pytest.param(["code", "repair", "CODE", "--word", "4,7,?,1,0,x"], "SpecMismatch",
                  id="bad-word-token"),
+    pytest.param(["code", "repair", "CODE", "--word", "?,1,2,3,4,99"], "SpecMismatch",
+                 id="word-symbol-q-outside-the-group"),
+    pytest.param(["code", "repair", "CODE", "--word", "?,1,2,3,4,-1"], "SpecMismatch",
+                 id="word-symbol-negative-outside-the-group"),
     pytest.param(["bounds", "eval", "--bound", "gv", "--q", "nan", "--r", "2",
                   "--delta", "0.5"], "DomainError", id="nan-q"),
     pytest.param(["bounds", "eval", "--bound", "main", "--q", "1e400", "--r", "2",

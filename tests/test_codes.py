@@ -1008,3 +1008,21 @@ def test_locality_default_r_is_computed_only_when_meta_has_none():
     tagged = codes.LinearCode(field=f3, n=5, k=2, generator=gen, repair_groups=groups,
                               meta={"r": None})
     assert codes.verify_locality(tagged).r is None  # as given, not the default
+
+
+def test_a_null_r_survives_a_json_round_trip():
+    f3 = F(3, 1)
+    one, zero = f3.one(), f3.zero()
+    code = codes.LinearCode(field=f3, n=4, k=2, generator=((one, zero, one, zero),
+                                                            (zero, one, zero, one)),
+                            repair_groups=((0, 2), (1, 3)))
+    assert codes.verify_locality(code).r == 1
+    text = codes.to_json(code)
+    assert json.loads(text)["r"] is None
+    again = codes.from_json(text)
+    assert "r" not in again.meta
+    assert codes.verify_locality(again).r == 1
+    assert codes.to_json(again) == text
+    doc = json.loads(text)
+    doc["params"]["r"] = 5  # params never supply r
+    assert codes.verify_locality(codes.from_json(doc)).r == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -358,3 +359,34 @@ def test_kernel_matches_polynomial_oracle_on_every_pair(p, w):
 def test_field_from_json_rejects_malformed_input(data, error):
     with pytest.raises(error):
         galois.field_from_json(data)
+
+
+def _admissible_pairs(f):
+    """Every (u, v) that `check_admissible` accepts, (1, 0) included."""
+    ell = f.ell
+    for v in range(f.w // 2 + 1):
+        g = ell - 1 if v == 0 else math.gcd(f.p**v - 1, ell - 1)
+        for u in range(1, g + 1):
+            if g % u == 0:
+                yield u, v
+
+
+@pytest.mark.parametrize("p,w", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (2, 8)])
+def test_index_helpers_match_the_element_definitions(p, w):
+    f = galois.field_create(p, w)
+    elems, ell, one = list(f.elements()), f.ell, f.one()
+    kernel = [a for a in elems if (a**ell + a).is_zero()]
+    assert galois.artin_schreier_kernel(f) == kernel
+    for u, v in _admissible_pairs(f):
+        H = [x for x in elems if not x.is_zero() and x**u == one and x**ell == x]
+        assert galois.unit_subgroup(f, u) == H
+        h = galois.subgroup_exponent(u, p)  # u | p^v - 1, so h divides v
+        subfield = [x for x in elems if x ** (p**h) == x]
+        span, dim = {f.zero()}, 0
+        for cand in kernel:  # the first v/h independent kernel elements
+            if dim == v // h:
+                break
+            if cand not in span:
+                span = {s + c * cand for s in span for c in subfield}
+                dim += 1
+        assert galois.repair_subspace(f, u, v) == sorted(span)
