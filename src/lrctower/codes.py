@@ -16,9 +16,18 @@ in what the API returns.  The level-1 builder evaluates t by Horner's
 rule and the rows as running products of logs, `from_json` decodes each
 coefficient list to an index in one pass, and `to_json` writes the digits
 of the indices.  One repair formula serves both builders: the erased
-symbol is sum_j lambda_j y_j over its group mates, with Lagrange weights
-at the y values (kept per coordinate after the first repair), or
-lambda_j = -1 for naive codes.
+symbol is sum_j lambda_j y_j over its group mates (a coordinate -> group
+table finds them), with Lagrange weights at the y values (kept per
+coordinate after the first repair), or lambda_j = -1 for naive codes.
+
+`encode` works a row at a time on bytes for q <= 256 (a code keeps its
+rows as bytes after its first encode): each nonzero message symbol m
+scales its row with one `bytes.translate` by the field's mul[m] table.
+For p = 2 the scaled rows are summed as one XOR of their ints; for odd
+p <= 127 by one byte lane per digit position (one translate per digit,
+plain integer adds, and a mod-p translate before any byte could pass
+255).  The symbols come from the field's tuple of its q elements.  Other
+fields (q > 256, or 127 < p <= 251) sum each column with `_dot`.
 
 Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword supports), the
@@ -37,6 +46,7 @@ import json
 import sys
 from array import array
 from collections import namedtuple
+from operator import index as _integer
 
 from . import galois
 from .errors import (
@@ -131,9 +141,10 @@ def _rref(f: galois.FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], 
 
 
 def _indices(f: galois.FieldSpec, entries, ints: bool = False) -> tuple[int, ...]:
-    """Canonical indices of elements of f (with ints, also of anything int()
-    takes to an index in [0, q), read in place); SpecMismatch for anything
-    else."""
+    """Canonical indices of elements of f (with ints, also of any integer in
+    [0, q) that `operator.index` reads, such as a bool or a numpy integer,
+    taken in place); SpecMismatch for anything else, such as a float or a
+    string."""
     out = []
     for x in entries:
         if isinstance(x, Element):
@@ -141,7 +152,10 @@ def _indices(f: galois.FieldSpec, entries, ints: bool = False) -> tuple[int, ...
                 raise SpecMismatch(f"an entry is not an element of {f!r}")
             out.append(x.index)
         elif ints:
-            i = int(x)
+            try:
+                i = _integer(x)
+            except TypeError:
+                raise SpecMismatch(f"symbol {x!r} is neither an index nor an element") from None
             if not 0 <= i < f.q:
                 raise SpecMismatch(f"index {i} outside [0, {f.q})")
             out.append(i)
@@ -243,13 +257,16 @@ class LinearCode:
         self.meta = {} if meta is None else meta
         self._rows = [read(row) for row in rows]
         self._ys = None if ys is None else read(ys)
+        self._row_bytes: list[bytes] | None = None  # the rows as bytes, after an encode
         self._weight_logs: dict[int, list[int]] = {}  # repair weights per coordinate
+        self._group = {}  # coordinate -> its repair group
         if len(_rref(field, self._rows)[1]) != k:
             raise RankDeficiency(f"generator rank below k = {k}")
         if repair_groups is not None:
             covered = sorted(i for g in repair_groups for i in g)
             if covered != list(range(n)):
                 raise InvariantViolation("repair groups do not partition coordinates")
+            self._group = {i: g for g in repair_groups for i in g}
             r = self.meta.get("r")
             if r is not None:
                 for g in repair_groups:
@@ -269,10 +286,10 @@ class LinearCode:
     def group_of(self, idx: int) -> tuple[int, ...]:
         if self.repair_groups is None:
             raise NoGroups("code carries no repair groups")
-        for g in self.repair_groups:
-            if idx in g:
-                return g
-        raise NoGroups(f"coordinate {idx} not in any group")  # pragma: no cover
+        group = self._group.get(idx)
+        if group is None:
+            raise NoGroups(f"coordinate {idx} not in any group")
+        return group
 
 
 LocalityReport = namedtuple("LocalityReport", "r algebraic exhaustive passed")
@@ -373,13 +390,55 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
 # -- operations -----------------------------------------------------------------
 
 def encode(code: LinearCode, message) -> tuple[Element, ...]:
-    """message x generator; message entries are elements or canonical indices."""
+    """message x generator; message entries are elements or canonical indices.
+
+    For q <= 256 and p <= 127 the sum runs a row at a time on byte lanes
+    (`_lane_sum`); otherwise each column is one `_dot`.
+    """
     if len(message) != code.k:
         raise LengthMismatch(f"message length {len(message)} != k = {code.k}")
     f = code.field
-    logs = [f._logs[1][m] for m in _indices(f, message, ints=True)]  # log(0) = -1
-    cols = zip(*code._rows) if code.k else [()] * code.n
-    return tuple(Element(f, _dot(f, logs, col)) for col in cols)
+    message = _indices(f, message, ints=True)
+    if f.q > 256 or f.p > 127:
+        logs = [f._logs[1][m] for m in message]  # log(0) = -1
+        cols = zip(*code._rows) if code.k else [()] * code.n
+        return tuple(Element(f, _dot(f, logs, col)) for col in cols)
+    rows = code._row_bytes
+    if rows is None:
+        rows = code._row_bytes = [bytes(row) for row in code._rows]
+    word = _lane_sum(f, [(m, row) for m, row in zip(message, rows) if m], code.n)
+    return tuple(map(f._elements.__getitem__, word))
+
+
+def _lane_sum(f: galois.FieldSpec, terms, n: int) -> bytes:
+    """sum m row over the (m, row) terms, for rows of n index bytes and
+    q <= 256, as n index bytes.  Each term is its row translated by m.
+
+    For p = 2 the sum of indices is their XOR, over the ints of the
+    scaled rows.  For odd p <= 127 each digit position t has a lane: the
+    plain sum of the terms' digits t (one translate by the `digit[t][m]`
+    table each), reduced mod p by a translate after each chunk of terms
+    that keeps every byte below 256; the index is then sum_t lane_t p^t,
+    which carries no byte.
+    """
+    p = f.p
+    if p == 2:
+        mul = f._byte_tables[1]
+        acc = 0
+        for m, row in terms:
+            acc ^= int.from_bytes(row.translate(mul[m]), "little")
+        return acc.to_bytes(n, "little")
+    digit, mod_p = f._digit_tables
+    chunk = 255 // (p - 1) - 1  # terms a byte holding a residue can add
+    word = 0
+    for t, tables in enumerate(digit):
+        lane = 0
+        for start in range(0, len(terms), chunk):
+            for m, row in terms[start:start + chunk]:
+                lane += int.from_bytes(row.translate(tables[m]), "little")
+            lane = int.from_bytes(lane.to_bytes(n, "little").translate(mod_p), "little")
+        word += lane * p**t
+    return word.to_bytes(n, "little")
 
 
 def _lagrange_logs(f: galois.FieldSpec, x0: int, xs: list[int]) -> list[int]:

@@ -159,7 +159,7 @@ class FieldSpec:
         for i in range(self.q):
             yield FieldElement(self, i)
 
-    # -- lazy lookup tables: numpy for `codes.all_codewords`, bytes for the scans
+    # -- lazy lookup tables: numpy for `codes.all_codewords`, bytes for scans and encode
 
     def tables(self):
         """(add, mul, inv) numpy index tables over the exp/log/Zech lists that
@@ -213,6 +213,25 @@ class FieldSpec:
         one = b"\1" * 256
         nonzero = [one[:x] + b"\0" + one[x + 1:] for x in mul[p - 1][:q]]  # x = -a
         return add, mul, nonzero
+
+    @cached_property
+    def _digit_tables(self) -> tuple[list[list[bytes]], bytes]:
+        """(digit, mod_p) as `bytes.translate` tables, for q <= 256: digit[t][m]
+        maps x to the digit t of m x (its coefficient of X^t), and mod_p maps
+        each byte to its residue mod p."""
+        p, w = self.p, self.w
+        mul = self._byte_tables[1]
+        digit = []
+        for t in range(w):
+            of_t = bytes(x // p**t % p for x in range(256))
+            digit.append([table.translate(of_t) for table in mul])
+        return digit, bytes(x % p for x in range(256))
+
+    @cached_property
+    def _elements(self) -> tuple["FieldElement", ...]:
+        """The q elements in index order, shared by every caller (elements are
+        immutable); for q <= 256."""
+        return tuple(FieldElement(self, i) for i in range(self.q))
 
     # -- misc ------------------------------------------------------------
 

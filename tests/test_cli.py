@@ -292,6 +292,12 @@ def test_no_temp_files_left(tmp_path):
                  id="word-symbol-q-outside-the-group"),
     pytest.param(["code", "repair", "CODE", "--word", "?,1,2,3,4,-1"], "SpecMismatch",
                  id="word-symbol-negative-outside-the-group"),
+    pytest.param(["code", "repair", "CODE", "--word", "4,7,?,1,0,3", "--idx", "-1"],
+                 "NoGroups", id="idx-negative"),
+    pytest.param(["code", "repair", "CODE", "--word", "4,7,?,1,0,3", "--idx", "6"],
+                 "NoGroups", id="idx-n"),
+    pytest.param(["code", "repair", "CODE", "--word", "4,7,?,1,0,3", "--idx", "11"],
+                 "NoGroups", id="idx-beyond-n"),
     pytest.param(["bounds", "eval", "--bound", "gv", "--q", "nan", "--r", "2",
                   "--delta", "0.5"], "DomainError", id="nan-q"),
     pytest.param(["bounds", "eval", "--bound", "main", "--q", "1e400", "--r", "2",

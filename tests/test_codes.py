@@ -252,6 +252,14 @@ def test_repair_requires_groups():
         codes.local_repair(plain, [None, f2.one(), f2.one(), f2.one()], 0)
 
 
+def test_repair_of_a_coordinate_outside_the_code_is_no_groups():
+    code = codes.build_rational_lrc(F(3, 2), 1, 1, 1)
+    word = list(codes.encode(code, [1, 2, 0, 1]))
+    for idx in (-1, code.n, code.n + 5):  # -1 does not wrap around to n - 1
+        with pytest.raises(NoGroups, match=f"coordinate {idx} not in any group"):
+            codes.local_repair(code, word, idx)
+
+
 def test_integer_symbols_are_read_in_place_with_the_same_checks():
     import numpy as np
     f9 = F(3, 2)
@@ -266,19 +274,56 @@ def test_integer_symbols_are_read_in_place_with_the_same_checks():
     for conv in (int, np.int64, f9.from_index):
         symbols = [None if j == idx else conv(word[j].index) for j in range(code.n)]
         assert codes.local_repair(code, symbols, idx) == word[idx]
-    for bad, error in [(9, SpecMismatch), (-1, SpecMismatch), (np.int64(9), SpecMismatch),
-                       (F(3, 1).one(), SpecMismatch), ("x", ValueError), (None, TypeError)]:
-        with pytest.raises(error):
+    # symbols are read with operator.index: no float, string or None is truncated
+    for bad in [9, -1, np.int64(9), F(3, 1).one(), "x", None, 2.7, 2.0, "2", np.float64(2)]:
+        with pytest.raises(SpecMismatch):
             codes.encode(code, [bad, 0, 0, 0])
         symbols = [sym.index for sym in word]
         symbols[idx], symbols[mate] = None, bad
-        with pytest.raises(NotRepairable if bad is None else error):
+        with pytest.raises(NotRepairable if bad is None else SpecMismatch):
             codes.local_repair(code, symbols, idx)
     # element-only entry points take no integers
     with pytest.raises(SpecMismatch):
         codes.LinearCode(field=f9, n=2, k=1, generator=((1, 0),))
     with pytest.raises(SpecMismatch):
         codes.poly_eval((1, f9.one()), f9.one())
+
+
+def _systematic_code(rng, f, n, k):
+    """A random [n, k] code whose generator is [I | R]: full rank, and its
+    rank check stays cheap for large k."""
+    rows = [[int(i == j) for j in range(k)] + [rng.randrange(f.q) for _ in range(n - k)]
+            for i in range(k)]
+    return codes.LinearCode._of_indices(f, n, k, rows)
+
+
+# fields on each side of every encode path: XOR for p = 2 and q <= 256,
+# digit lanes for odd p <= 127 and q <= 256 (one lane when w = 1), and
+# one _dot per column for p > 127 or q > 256
+@pytest.mark.parametrize("p,w,path", [
+    (2, 1, "xor"), (2, 2, "xor"), (2, 8, "xor"),
+    (3, 1, "lanes"), (127, 1, "lanes"), (3, 2, "lanes"), (5, 3, "lanes"), (3, 5, "lanes"),
+    (131, 1, "dot"), (251, 1, "dot"), (2, 10, "dot"), (3, 6, "dot"),
+])
+def test_encode_is_the_element_sum_of_the_scaled_rows(monkeypatch, p, w, path):
+    f = F(p, w)
+    rng = random.Random(f"encode:{p}:{w}")
+    dots = []
+    inner = codes._dot
+    monkeypatch.setattr(codes, "_dot", lambda *args: dots.append(1) or inner(*args))
+    shapes = [(1, 0), (4, 0), (1, 1), (7, 3), (20, 9)]
+    if (p, w) == (3, 1):
+        shapes.append((140, 130))  # 130 nonzero terms: the lanes reduce partway
+    for n, k in shapes:
+        code = _systematic_code(rng, f, n, k)
+        messages = [[0] * k, [f.q - 1] * k] + [[rng.randrange(f.q) for _ in range(k)]
+                                               for _ in range(3)]
+        for msg in messages:
+            want = [f.zero()] * n
+            for m, row in zip(msg, code.generator):
+                want = [acc + f.from_index(m) * g for acc, g in zip(want, row)]
+            assert codes.encode(code, msg) == tuple(want)
+    assert bool(dots) == (path == "dot")
 
 
 def _lagrange_at(xs, ys, x0):
@@ -729,12 +774,16 @@ def test_linear_code_rejects_entries_from_another_field():
 
 
 def test_all_codewords_matches_encode():
-    code = codes.build_rational_lrc(F(3, 2), 1, 1, 0)
-    words = codes.all_codewords(code)
-    expected = set()
-    for msg in itertools.product(range(9), repeat=code.k):
-        expected.add(tuple(sym.index for sym in codes.encode(code, list(msg))))
-    assert {tuple(row) for row in words.tolist()} == expected
+    # the byte-lane encoder over GF(9), GF(25) and GF(49), the XOR one over
+    # GF(16) and GF(64)
+    for p, w, u, v, s in [(3, 2, 1, 1, 0), (2, 4, 1, 1, 1), (5, 2, 2, 0, 1),
+                          (7, 2, 2, 0, 0), (2, 6, 1, 1, 0)]:
+        code = codes.build_rational_lrc(F(p, w), u, v, s)
+        words = codes.all_codewords(code)
+        expected = set()
+        for msg in itertools.product(range(code.field.q), repeat=code.k):
+            expected.add(tuple(sym.index for sym in codes.encode(code, list(msg))))
+        assert {tuple(row) for row in words.tolist()} == expected
 
 
 # -- elimination over canonical indices ---------------------------------------------

@@ -1,15 +1,25 @@
-"""Hypothesis properties of the code pipeline on random small codes.
+"""Hypothesis properties of the code pipeline on random small codes, and
+of the CLI on corrupted code files.
 
-Codes are drawn over GF(2), GF(3), GF(4) and GF(9) with n <= 8, full rank
-by construction, with random repair-group partitions.  Every test runs a
-fixed number of derandomized examples, so the suite stays deterministic.
+Codes are drawn over GF(2), GF(3), GF(4), GF(5), GF(8) and GF(9) with
+n <= 8, full rank by construction, with random repair-group partitions.
+Corrupted files are golden code files with keys dropped, values of
+another type, digits changed, the text cut or group entries repeated.
+Every test runs a fixed number of derandomized examples, so the suite
+stays deterministic.
 """
+
+import functools
+import json
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from lrctower import codes, galois
+from lrctower import codes, errors, galois
+from test_cli import invoke
 
-FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
@@ -120,3 +130,101 @@ def test_encode_erase_repair_restores_the_symbol(code, data):
     idx = data.draw(st.integers(0, code.n - 1))
     erased, word[idx] = word[idx], None
     assert codes.local_repair(code, word, idx) == erased
+
+
+@functools.cache
+def _golden_files():
+    """The canonical text of the README's GF(9) [6, 4] code and of its
+    naive augmentation with r = 2; both have n = 6."""
+    code = codes.build_rational_lrc(galois.field_create(3, 2), 1, 1, 1)
+    return codes.to_json(code), codes.to_json(codes.naive_lrc(code, 2))
+
+
+def _paths(doc, path=()):
+    """Every path (keys and list positions) into a parsed document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+#: values of every JSON type, and integers no field or code takes
+ODD_VALUES = [None, True, False, 0, -1, 2, 10**30, 2.5, float("nan"), "", "x", "3",
+              [], [0], [[0, 1]], {}, {"p": 3}]
+
+
+@st.composite
+def corrupted_code_files(draw):
+    """A golden code file after one to three corruptions."""
+    text = draw(st.sampled_from(_golden_files()))
+    for kind in draw(st.lists(st.sampled_from(["drop", "retype", "digits", "cut", "repeat"]),
+                              min_size=1, max_size=3)):
+        if kind == "cut":
+            text = text[:draw(st.integers(0, max(len(text) - 1, 0)))]
+            continue
+        if kind == "digits":
+            spots = [i for i, c in enumerate(text) if c.isdigit()]
+            if spots:
+                i = draw(st.sampled_from(spots))
+                text = text[:i] + str(draw(st.integers(0, 9))) + text[i + 1:]
+            continue
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            continue  # a cut text has no keys or groups left to corrupt
+        if kind == "drop":
+            paths = list(_paths(doc))[1:]
+            if paths:
+                path = draw(st.sampled_from(paths))
+                del _parent(doc, path)[path[-1]]
+        elif kind == "retype":
+            path = draw(st.sampled_from(list(_paths(doc))))
+            value = draw(st.sampled_from(ODD_VALUES))
+            if path:
+                _parent(doc, path)[path[-1]] = value
+            else:
+                doc = value
+        else:  # repeat an entry of a repair group, appended or over another
+            groups = doc.get("repair_groups") if isinstance(doc, dict) else None
+            groups = [g for g in groups if isinstance(g, list) and g] if isinstance(groups, list) else []
+            if groups:
+                group = draw(st.sampled_from(groups))
+                entry = group[draw(st.integers(0, len(group) - 1))]
+                spot = draw(st.integers(0, len(group)))  # len(group) appends
+                group[spot:spot + 1] = [entry]
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return text
+
+
+def _one_error_line(result):
+    lines = result.stderr.splitlines()
+    name = lines[0].split(":")[0] if len(lines) == 1 else None
+    return isinstance(getattr(errors, name or "", None), type) and issubclass(
+        getattr(errors, name), errors.LrcError)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(corrupted_code_files())
+def test_a_corrupted_code_file_exits_1_with_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        for args in (["code", "verify", path], ["code", "repair", path, "--word", "4,7,?,1,0,3"],
+                     ["code", "verify", path, "--distance", "--locality"]):
+            result = invoke(*args)
+            assert "Traceback" not in result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert result.exit_code in (0, 1)
+            if result.exit_code == 0:
+                assert result.stderr == ""
+            elif "--distance" in args and not result.stderr:
+                assert "FAIL" in result.stdout  # a check that ran and failed
+            else:
+                assert _one_error_line(result), result.stderr
