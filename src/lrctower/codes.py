@@ -259,7 +259,7 @@ class LinearCode:
         self._ys = None if ys is None else read(ys)
         self._row_bytes: list[bytes] | None = None  # the rows as bytes, after an encode
         self._weight_logs: dict[int, list[int]] = {}  # repair weights per coordinate
-        self._group = {}  # coordinate -> its repair group
+        self._group: dict[int, tuple[int, ...]] = {}  # coordinate -> its repair group
         if len(_rref(field, self._rows)[1]) != k:
             raise RankDeficiency(f"generator rank below k = {k}")
         if repair_groups is not None:
@@ -465,7 +465,12 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
     are the Lagrange weights at the y values, which interpolate the
     degree <= r-1 polynomial through the group mates.  The weights of a
     coordinate are computed on its first repair and kept on the code.
+    idx is read with `operator.index`, as the symbols are.
     """
+    try:
+        idx = _integer(idx)
+    except TypeError:
+        raise SpecMismatch(f"coordinate {idx!r} is not an integer") from None
     group = code.group_of(idx)
     others = [j for j in group if j != idx]
     missing = [j for j in others if word[j] is None]

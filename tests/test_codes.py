@@ -252,12 +252,18 @@ def test_repair_requires_groups():
         codes.local_repair(plain, [None, f2.one(), f2.one(), f2.one()], 0)
 
 
-def test_repair_of_a_coordinate_outside_the_code_is_no_groups():
+def test_repair_coordinate_must_be_a_coordinate_of_the_code():
+    import numpy as np
     code = codes.build_rational_lrc(F(3, 2), 1, 1, 1)
     word = list(codes.encode(code, [1, 2, 0, 1]))
     for idx in (-1, code.n, code.n + 5):  # -1 does not wrap around to n - 1
         with pytest.raises(NoGroups, match=f"coordinate {idx} not in any group"):
             codes.local_repair(code, word, idx)
+    for idx in (2.0, "2", None):
+        with pytest.raises(SpecMismatch):
+            codes.local_repair(code, word, idx)
+    erased, word[2] = word[2], None
+    assert codes.local_repair(code, word, np.int64(2)) == erased
 
 
 def test_integer_symbols_are_read_in_place_with_the_same_checks():
