@@ -36,8 +36,9 @@ repair by Lagrange interpolation round trips.  The two exhaustive checks
 read one blocked scan of codeword supports, `_nonzero_blocks`, in pure
 Python over byte lanes (one 0/1 byte per codeword in an int per
 coordinate).  Only `all_codewords`, the tests' enumeration oracle, loads
-numpy (through `FieldSpec.tables`); `tower` loads with
-`build_rational_lrc`, so repair and verification run without it.
+numpy (through `FieldSpec.tables`; the `test` extra installs it); `tower`
+loads with `build_rational_lrc`, so repair and verification run without
+it.
 """
 
 from __future__ import annotations
@@ -375,6 +376,8 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
     dependent); repair groups are the supports of the new rows.
     """
     f, n = code.field, code.n
+    if r < 1:
+        raise LocalityTooSmall(f"locality r = {r} < 1")
     if n % (r + 1):
         raise NotDivisible(f"(r+1) = {r + 1} does not divide n = {n}")
     if r * code.k < n:
@@ -493,7 +496,8 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
 def all_codewords(code: LinearCode, limit: int = 1 << 18):
     """All q^k codewords as a (q^k, n) numpy array of element indices, in
     mixed-radix message order: row 0 is the zero word, the last message
-    digit fastest.  The tests' oracle for the scans, over `tables()`."""
+    digit fastest.  The tests' oracle for the scans, over `tables()`; needs
+    numpy, which only the `test` extra installs."""
     import numpy as np
 
     f, n = code.field, code.n

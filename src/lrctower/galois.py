@@ -163,7 +163,8 @@ class FieldSpec:
 
     def tables(self):
         """(add, mul, inv) numpy index tables over the exp/log/Zech lists that
-        the scalar ops use; built lazily, q <= 4096 only."""
+        the scalar ops use; built lazily, q <= 4096 only.  Needs numpy, which
+        only the `test` extra installs."""
         if self._tables is None:
             if self.q > 4096:
                 raise TooLarge(f"lookup tables limited to q <= 4096, got q={self.q}")
@@ -440,6 +441,8 @@ def unit_subgroup(spec: FieldSpec, u: int) -> list[FieldElement]:
 
 def subgroup_exponent(u: int, p: int) -> int:
     """h = min{t > 0 : u | p^t - 1}; the field F_p(H) is F_{p^h}."""
+    if u < 1:
+        raise NotDivisor(f"u = {u} must be positive")
     if u == 1:
         return 1
     if gcd(u, p) != 1:
@@ -472,12 +475,11 @@ def repair_subspace(spec: FieldSpec, u: int, v: int) -> list[FieldElement]:
 
     Deterministic: span of the first v/h independent kernel elements in
     canonical order, where h = subgroup_exponent(u, p), built over indices.
+    h divides v: u | p^v - 1 gives ord_u(p) | v, and v = 0 is divisible by
+    every h.
     """
     check_admissible(spec, u, v)
-    p = spec.p
-    h = subgroup_exponent(u, p)
-    if v % h != 0:
-        raise NotAdmissible(f"h = {h} does not divide v = {v}")
+    p, h = spec.p, subgroup_exponent(u, spec.p)
     dim = v // h
     kernel = artin_schreier_kernel(spec)
     if dim == 0:

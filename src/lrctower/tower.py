@@ -8,7 +8,9 @@ additive kernel; subgroups of order u * p^v are assembled from a unit
 subgroup H and a repair subspace W.
 
 Subgroups, place enumeration and orbits run over canonical indices (index
-pairs (c, a) and index tuples), with every structural check kept there.
+pairs (c, a) and index tuples), with every structural check kept there.  A
+subgroup is certified by closing its pairs from greedily drawn generators,
+in O(|G| log |G|) compositions.
 Elements appear only in what the API returns: `TowerPlace` and `AutMap`
 (immutable named tuples) and `AutSubgroup.elements`.
 """
@@ -49,9 +51,6 @@ class AutMap(namedtuple("AutMap", "c a")):
 
     __slots__ = ()
 
-    def key(self) -> tuple[int, int]:
-        return (self.c.index, self.a.index)
-
 
 def compose(s1: AutMap, s2: AutMap) -> AutMap:
     """(c1, a1) o (c2, a2) = (c1 c2, c1 a2 + a1)."""
@@ -68,8 +67,12 @@ class AutSubgroup:
 
     Held as its sorted (c, a) canonical index pairs, which the constructor
     checks form a group of the expected order: that many distinct pairs,
-    each c a unit, the identity, every inverse and the full O(|G|^2)
-    closure.  `elements` is the AutMap view of the same pairs.
+    each c a unit and each a an element, and closed under composition.
+    Walking the sorted pairs, each one not yet reached becomes a generator
+    and the reached set is closed again under right composition with every
+    generator, so the check costs O(|G| log |G|) compositions; a product
+    outside the pairs is an InvariantViolation.  `elements` is the AutMap
+    view of the same pairs.
     """
 
     def __init__(self, spec: galois.FieldSpec, u: int, v: int,
@@ -91,20 +94,25 @@ class AutSubgroup:
             )
         if not all(0 < c < q and 0 <= a < q for c, a in pairs):
             raise InvariantViolation("a pair is not a unit c and an element a")
-        if (1, 0) not in members:
-            raise InvariantViolation("identity missing from subgroup")
-        exp, log, _ = self.spec._logs
-        add, _ = galois.index_ops(self.spec)
-        m, neg = q - 1, log[self.spec.p - 1]  # log(-1)
-        logs = [(log[c], log[a]) for c, a in pairs]  # log(0) = -1
-        for (c1, a1), (lc1, la1) in zip(pairs, logs):
-            inverse = (exp[m - lc1], exp[(la1 - lc1 + neg) % m] if a1 else 0)  # (1/c, -a/c)
-            if inverse not in members:
-                raise InvariantViolation(f"inverse of {(c1, a1)} missing")
-            for (c2, a2), (lc2, la2) in zip(pairs, logs):
-                # (c1, a1) o (c2, a2) = (c1 c2, c1 a2 + a1)
-                if (exp[lc1 + lc2], add(exp[lc1 + la2] if a2 else 0, a1)) not in members:
-                    raise InvariantViolation(f"{(c1, a1)} o {(c2, a2)} escapes the subgroup")
+        add, mul = galois.index_ops(self.spec)
+        # A finite set of units closed under composition is a group, so the
+        # pairs are one exactly when they close from the generators drawn here.
+        reached, gens = set(), []
+        for pair in pairs:
+            if pair in reached:
+                continue
+            gens.append(pair)
+            reached.add(pair)
+            queue = list(reached)
+            while queue:
+                c1, a1 = queue.pop()
+                for c2, a2 in gens:
+                    prod = (mul(c1, c2), add(mul(c1, a2), a1))  # (c1, a1) o (c2, a2)
+                    if prod not in members:
+                        raise InvariantViolation(f"{(c1, a1)} o {(c2, a2)} escapes the subgroup")
+                    if prod not in reached:
+                        reached.add(prod)
+                        queue.append(prod)
 
     @cached_property
     def elements(self) -> list[AutMap]:
@@ -200,6 +208,8 @@ def genus(spec: galois.FieldSpec, m: int) -> int:
     """Genus of T_m (0 for m = 1)."""
     if spec.ell is None:
         raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
+    if m < 1:
+        raise NotAdmissible(f"level must be >= 1, got {m}")
     ell = spec.ell
     if m % 2 == 0:
         return (ell ** (m // 2) - 1) ** 2
@@ -215,10 +225,10 @@ def admissible_params(spec: galois.FieldSpec) -> list[tuple[int, int, int]]:
 
 
 def build_subgroup(spec: galois.FieldSpec, u: int, v: int) -> AutSubgroup:
-    """Subgroup {(c, a) : c in H, a in W} of order u * p^v; closure checked."""
-    galois.check_admissible(spec, u, v)
-    H = galois.unit_subgroup(spec, u)
+    """Subgroup {(c, a) : c in H, a in W} of order u * p^v, certified by
+    `AutSubgroup`; `repair_subspace` checks that (u, v) is admissible."""
     W = galois.repair_subspace(spec, u, v)
+    H = galois.unit_subgroup(spec, u)
     return AutSubgroup(spec, u, v, [(c.index, a.index) for c in H for a in W])
 
 

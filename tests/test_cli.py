@@ -353,6 +353,18 @@ def test_verify_distance_of_a_k0_code_is_a_one_line_error(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("DomainError: ")
 
 
+def test_verify_locality_of_a_k0_code_passes(tmp_path):
+    code = tmp_path / "c.json"
+    invoke("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1",
+           "--out", str(code))
+    doc = json.loads(code.read_text())
+    doc.update(k=0, generator=[])
+    code.write_text(json.dumps(doc))
+    result = invoke("code", "verify", str(code), "--locality")
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "locality: r=2 algebraic=pass exhaustive=pass"
+
+
 def test_verify_of_an_n0_code_is_a_one_line_error(tmp_path):
     code = tmp_path / "n0.json"
     code.write_text(json.dumps({

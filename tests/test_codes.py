@@ -472,6 +472,22 @@ def test_min_distance_of_a_k0_code_is_an_error():
         codes.min_distance(code)
 
 
+def test_locality_of_a_k0_code_with_repair_groups_holds_everywhere():
+    # the zero word alone: no codeword has support {i} inside i's group
+    f9 = F(3, 2)
+    groups = ((0, 1, 2), (3, 4, 5))
+    code = codes.LinearCode(field=f9, n=6, k=0, generator=(), repair_groups=groups,
+                            meta={"r": 2})
+    words = codes.all_codewords(code)
+    assert words.shape == (1, 6) and not words.any()
+    defined = [not any(word[i] and not any(word[j] for j in g if j != i) for word in words)
+               for g in groups for i in g]
+    report = codes.verify_locality(code)
+    assert report == codes.LocalityReport(r=2, algebraic=[True] * 6, exhaustive=defined,
+                                          passed=True)
+    assert defined == [True] * 6
+
+
 def test_min_distance_respects_limit():
     code = codes.build_rational_lrc(F(2, 4), 1, 2, 1)  # 16^6 messages
     with pytest.raises(TooLarge):
@@ -641,6 +657,9 @@ def test_naive_guards():
         codes.naive_lrc(base, 3)  # 4 does not divide 6
     with pytest.raises(LocalityTooSmall):
         codes.naive_lrc(base, 1)  # r < n/k = 2
+    for r in (0, -1, -2, -3, -5):  # r = -1 must not divide by r + 1 = 0
+        with pytest.raises(LocalityTooSmall):
+            codes.naive_lrc(base, r)
 
 
 def test_naive_distance_dominates_source():

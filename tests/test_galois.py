@@ -256,6 +256,9 @@ def test_unit_subgroup_rejects_non_divisor():
     f9 = galois.field_create(3, 2)
     with pytest.raises(NotDivisor):
         galois.unit_subgroup(f9, 3)
+    for u, p in [(-3, 2), (-1, 3), (-1, 2), (0, 5), (-4, 5)]:  # no t > 0 with u | p^t - 1
+        with pytest.raises(NotDivisor):
+            galois.subgroup_exponent(u, p)
 
 
 def test_subgroup_exponent():

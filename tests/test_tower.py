@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -238,6 +239,16 @@ def test_params_rate_distance_sum():
         assert lhs >= rhs
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_levels_below_one_are_not_admissible(m):
+    spec = F(3, 2)
+    for call in (lambda: tower.genus(spec, m), lambda: tower.s_range(spec, m, 2),
+                 lambda: tower.thm34_params(spec, m, 2, 0),
+                 lambda: tower.enumerate_places(spec, m)):
+        with pytest.raises(NotAdmissible, match=f"level must be >= 1, got {m}"):
+            call()
+
+
 def test_params_errors():
     spec = F(3, 2)
     with pytest.raises(SOutOfRange):
@@ -347,3 +358,136 @@ def test_orbit_partition_rejects_a_corrupted_place(p, w, u, v, m):
         bad[k] = places[k - 1]  # a valid place, listed twice
         with pytest.raises(InvariantViolation):
             tower.orbit_partition(group, bad)
+
+
+# -- the generator certificate against the all-pairs oracle ------------------------
+
+def _all_pairs_verdict(spec, order, pairs):
+    """The all-pairs subgroup check over indices, kept as the oracle of
+    `AutSubgroup`'s generator closure: that many distinct pairs, each c a
+    unit and each a an element, the identity, every inverse and every one
+    of the |G|^2 compositions inside the pair set."""
+    q = spec.q
+    members = set(pairs)
+    if len(members) != order or len(pairs) != order:
+        return False
+    if not all(0 < c < q and 0 <= a < q for c, a in pairs):
+        return False
+    if (1, 0) not in members:
+        return False
+    exp, log, _ = spec._logs
+    add, _ = galois.index_ops(spec)
+    m, neg = q - 1, log[spec.p - 1]  # log(-1)
+    logs = [(log[c], log[a]) for c, a in pairs]  # log(0) = -1
+    for (c1, a1), (lc1, la1) in zip(pairs, logs):
+        if (exp[m - lc1], exp[(la1 - lc1 + neg) % m] if a1 else 0) not in members:
+            return False  # (1/c, -a/c)
+        for (c2, a2), (lc2, la2) in zip(pairs, logs):
+            # (c1, a1) o (c2, a2) = (c1 c2, c1 a2 + a1)
+            if (exp[lc1 + lc2], add(exp[lc1 + la2] if a2 else 0, a1)) not in members:
+                return False
+    return True
+
+
+def _certified(spec, u, v, pairs):
+    try:
+        tower.AutSubgroup(spec, u, v, pairs)
+    except InvariantViolation:
+        return False
+    return True
+
+
+def _pair_ops(spec):
+    """compose and the closure of a pair set, over elements."""
+    elem = spec.from_index
+
+    def compose(x, y):
+        s = tower.compose(tower.AutMap(elem(x[0]), elem(x[1])),
+                          tower.AutMap(elem(y[0]), elem(y[1])))
+        return (s.c.index, s.a.index)
+
+    def closure(gens):
+        group, frontier = set(gens), list(gens)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = compose(x, g)
+                if y not in group:
+                    group.add(y)
+                    frontier.append(y)
+        return group
+
+    return compose, closure
+
+
+def _candidate_pair_sets(spec, u, v, rng):
+    """Pair sets of size u p^v: the built subgroup, its conjugates by
+    translations (not products H x W once u > 1), cyclic groups of that
+    order, the subgroup with one pair altered, cosets and other sets without
+    the identity, proper subgroups plus one extra pair (and filled up from
+    the group that pair generates with them), and random sets."""
+    q, order = spec.q, u * spec.p**v
+    compose, closure = _pair_ops(spec)
+    group = tower.build_subgroup(spec, u, v).pairs
+    units = [(c, a) for c in range(1, q) for a in range(q)]
+    outside = [x for x in units if x not in set(group)]
+    yield group
+    for _ in range(3):
+        b = rng.randrange(1, q)
+        minus_b = (-spec.from_index(b)).index
+        yield [compose(compose((1, b), x), (1, minus_b)) for x in group]
+    for _ in range(3):
+        cyclic = closure([rng.choice(units)])
+        if len(cyclic) == order:
+            yield sorted(cyclic)
+    if outside:
+        k = rng.randrange(order)
+        yield group[:k] + [rng.choice(outside)] + group[k + 1:]
+        x = rng.choice(outside)
+        yield [compose(g, x) for g in group]  # a coset: no identity
+        if order > 1:
+            yield [g for g in group if g != (1, 0)] + [x]
+    for _ in range(6):
+        sub = closure([rng.choice(units)])
+        if len(sub) >= order:
+            continue
+        extra = rng.choice([x for x in units if x not in sub])
+        pool = sorted(closure(sorted(sub) + [extra]) - sub - {extra})
+        if len(sub) + 1 + len(pool) >= order:
+            yield sorted(sub) + [extra] + rng.sample(pool, order - len(sub) - 1)
+        rest = [x for x in units if x not in sub and x != extra]
+        yield sorted(sub) + [extra] + rng.sample(rest, order - len(sub) - 1)
+    for _ in range(4):
+        yield rng.sample(units, order)
+
+
+@pytest.mark.parametrize("p,w", [(2, 2), (3, 2), (2, 4), (5, 2)])
+def test_certificate_matches_the_all_pairs_oracle(p, w):
+    spec = F(p, w)
+    rng = random.Random(f"certificate:{p}:{w}")
+    verdicts = collections.Counter()
+    for u, v in _subgroup_params(spec):
+        order = u * p**v
+        for pairs in _candidate_pair_sets(spec, u, v, rng):
+            assert len(pairs) == order
+            verdict = _all_pairs_verdict(spec, order, pairs)
+            assert _certified(spec, u, v, pairs) == verdict, (u, v, pairs)
+            verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_certificate_accepts_a_subgroup_that_is_not_a_product():
+    spec = F(3, 2)
+    minus_one = spec.p - 1
+    for a0 in range(1, spec.q):
+        pairs = [(1, 0), (minus_one, a0)]  # a -> -a + a0 is an involution
+        assert _all_pairs_verdict(spec, 2, pairs)
+        assert tower.AutSubgroup(spec, 2, 0, pairs).pairs == pairs
+
+
+def test_certificate_of_the_order_992_group_over_gf1024():
+    spec = F(2, 10)
+    group = tower.build_subgroup(spec, 31, 5)
+    assert group.order == len(group.pairs) == 992 == spec.q - spec.ell
+    orbits = tower.orbit_partition(group, tower.enumerate_places(spec, 1))
+    assert orbits == [list(range(992))]
