@@ -15,7 +15,11 @@ is evaluated in the log domain (two-term log-sum-exp) so q up to 2^64 and
 very large r never overflow.  h is unimodal on (0, 1], so its minimum sits
 at the one critical point s0, or at s = 1 when h decreases throughout:
 `find_s0` locates it by bisection on the sign of h', and the GV bound is
-1 - h(s0).
+1 - h(s0).  `find_s0` and `gv_bound` each check (q, r, delta) once before
+the solve.  The solve probes s = 1 and the low end of its bracket through
+`gv_derivative_sign`, then bisects on constants hoisted out of its loop with
+that sign test written inline in the same float operations, so it visits
+the same midpoints as bisection on `gv_derivative_sign`.
 """
 
 from __future__ import annotations
@@ -254,7 +258,7 @@ def gv_bound(q: float, r: int, delta: float) -> float:
     """Locality-aware Gilbert-Varshamov rate bound 1 - min_{0<s<=1} h(s),
     taken as 1 - h(s0) at the minimizer s0 = find_s0(q, r, delta)."""
     q, delta = _gv_domain(q, r, delta)
-    return 1.0 - _h(q, r, delta, find_s0(q, r, delta))
+    return 1.0 - _h(q, r, delta, _solve_s0(q, r, delta))
 
 
 def gv_derivative_sign(q: float, r: int, delta: float, s: float) -> int:
@@ -266,11 +270,12 @@ def gv_derivative_sign(q: float, r: int, delta: float, s: float) -> int:
     which keeps the leading powers from swamping the sign near s = 1/(q-1)
     (at delta = 1/2 this is the usual derivative display, where the bracket
     vanishes at that point).  Both terms are compared in the log domain.
+    (q, r, delta) are checked and delta clamped as in `gv_bound`; s must lie
+    in (0, 1].
     """
-    if s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    if s > 1.0:
-        raise DomainError(f"s must be <= 1, got {s}")
+    q, delta = _gv_domain(q, r, delta)
+    if not 0.0 < s <= 1.0:
+        raise DomainError(f"s must be in (0, 1], got {s}")
     a_factor = (1.0 - delta) * (q - 1.0) * s - delta
     b_factor = delta + (1.0 - delta) * s  # > 0 throughout (0, 1]
     log_b = (
@@ -302,10 +307,21 @@ def find_s0(q: float, r: int, delta: float) -> float:
     """The minimizer of h on (0, 1]: its unique critical point, found by
     bisection on the sign of h', or 1 when h' < 0 throughout.
 
+    The probes at s = 1 and at the low end of the bracket call
+    `gv_derivative_sign`; the bisection writes its sign test inline on
+    constants hoisted out of the loop, in the same float operations and
+    order, so it visits the midpoints that bisection on
+    `gv_derivative_sign` visits and returns the same s0.
+
     For delta = 1/2 the result is checked against the closed `s0_window`
     whenever that window is at least 4 ulps wide.
     """
     q, delta = _gv_domain(q, r, delta)
+    return _solve_s0(q, r, delta)
+
+
+def _solve_s0(q: float, r: int, delta: float) -> float:
+    """`find_s0` on (q, delta) as `_gv_domain` returns them."""
     hi = 1.0
     if gv_derivative_sign(q, r, delta, hi) < 0:
         # h decreasing on all of (0, 1]: minimum sits at the right endpoint
@@ -318,11 +334,24 @@ def find_s0(q: float, r: int, delta: float) -> float:
         tries += 1
         if tries > 1100:
             raise ConvergenceFailure("could not bracket a sign change of h'")
+    # gv_derivative_sign(q, r, delta, mid) < 0, written out: a float
+    # product associates left, so (1-delta)(q-1)s = slope * s bit for bit
+    qm1 = q - 1.0
+    omd = 1.0 - delta
+    slope = omd * qm1
+    log_qm1 = log(qm1)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if gv_derivative_sign(q, r, delta, mid) < 0:
+        a_factor = slope * mid - delta
+        if a_factor > 0.0:
+            falling = (r * log1p(qm1 * mid) + log(a_factor)
+                       < log_qm1 + r * log1p(-mid) + log(delta + omd * mid))
+        else:
+            # log_b > -inf, which fails only where r * log1p(-mid) overflows
+            falling = a_factor < 0.0 or r * log1p(-mid) > -math.inf
+        if falling:
             lo = mid
         else:
             hi = mid

@@ -24,6 +24,7 @@ from . import bounds, galois
 from .errors import (
     DistanceNonpositive,
     InvariantViolation,
+    LocalityTooSmall,
     NoSquareRoot,
     NotAdmissible,
     SOutOfRange,
@@ -296,9 +297,12 @@ def orbit_partition(group: AutSubgroup,
 
 
 def s_range(spec: galois.FieldSpec, m: int, r: int) -> tuple[int, int]:
-    """Inclusive (s_min, s_max) for the divisor degree at level m."""
+    """Inclusive (s_min, s_max) for the divisor degree at level m with
+    locality r >= 1."""
     ell = spec.ell
     g = genus(spec, m)
+    if r < 1:
+        raise LocalityTooSmall(f"locality r = {r} < 1")
     s_min = 0 if m == 1 else -(-(g - 1) // (r + 1))  # ceil((g-1)/(r+1))
     # n_{m-1}; extended downward to ell - 1 at m = 1
     s_max = ell - 1 if m == 1 else ell ** (m - 2) * (spec.q - ell)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -6,9 +7,15 @@ import numpy as np
 import pytest
 
 from lrctower import bounds
-from lrctower.errors import DomainError, NotAdmissible, TooLarge
+from lrctower.errors import (
+    ConvergenceFailure,
+    DomainError,
+    InvariantViolation,
+    NotAdmissible,
+    TooLarge,
+)
 
-from gv_oracle import gv_grid_oracle
+from gv_oracle import gv_grid_oracle, reference_find_s0
 
 # ---------------------------------------------------------------------------
 # independent oracles: dense grids with their own log-sum-exp, no reuse of
@@ -241,6 +248,121 @@ def test_find_s0_boundary_delta():
     q = 16.0
     s0 = bounds.find_s0(q, 2, 1 - 1 / q)
     assert s0 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("q,r,delta,s", [
+    (256, 2, 0.5, math.nan), (256, 2, 0.5, math.inf), (256, 2, 0.5, -math.inf),
+    (256, 2, 0.5, 0.0), (256, 2, 0.5, 1.5),
+    (256, 0, 0.5, 0.5), (256, -1, 0.5, 0.5), (1, 2, 0.5, 0.5), (math.nan, 2, 0.5, 0.5),
+    (256, 2, math.nan, 0.5), (256, 2, 0.0, 0.5), (256, 2, 1 - 1 / 256 + 2e-12, 0.5),
+])
+def test_derivative_sign_domain(q, r, delta, s):
+    with pytest.raises(DomainError):
+        bounds.gv_derivative_sign(q, r, delta, s)
+
+
+def test_derivative_sign_clamps_delta_like_find_s0():
+    # at q = 256, delta = 1 - 1/q, the bracket (1-delta)(q-1) - delta at s = 1
+    # is exactly 0; unclamped, 1e-12 more delta would make it negative
+    hi = 1 - 1 / 256
+    assert bounds.gv_derivative_sign(256, 2, hi, 1.0) == 0
+    assert bounds.gv_derivative_sign(256, 2, hi + 5e-13, 1.0) == 0
+
+
+# -- the GV solve against its earlier bisection ---------------------------------------
+
+_PRIMES = [p for p in range(2, 10_000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+#: prime powers up to 2^64 and some large primes, square and not
+_SQUARE_QS = sorted(
+    {4**k for k in range(1, 33)}
+    | {b ** (2 * k) for b in (3, 5, 7) for k in range(1, 40) if b ** (2 * k) < 2**53}
+    | {p * p for p in _PRIMES[4:]}
+)
+_NON_SQUARE_QS = sorted(
+    {2 ** (2 * k + 1) for k in range(32)}
+    | {b ** (2 * k + 1) for b in (3, 5, 7) for k in range(40) if b ** (2 * k + 1) < 2**53}
+    | set(_PRIMES[3:]) | {2**31 - 1, 2**61 - 1}
+)
+REFERENCE_QS = (2**8, 2**10, 2**12, 3**6, 3**8, 5**4, 5**6, 5**8)
+
+
+def _gv_inputs():
+    """(q, r, delta) drawn as the gv and s0 requests of the bounds-query
+    benchmark draw them, then the edge cases."""
+    rng = random.Random(16)
+    for _ in range(20_000):
+        q = rng.choice(_SQUARE_QS if rng.random() < 0.5 else _NON_SQUARE_QS)
+        yield q, int(10 ** rng.uniform(0, 5)), rng.uniform(0.02, 0.98) * (1 - 1 / q)
+    for q in REFERENCE_QS:
+        for r in bounds.admissible_localities(q):
+            yield q, r, 0.5
+    for q in (2, 3, 4, 5, 9, 16, 729, 2**31 - 1, 2**61 - 1, 2**64):
+        hi = 1 - 1 / q
+        for r in (1, 2, 32, 1073, 1074, 1075, 10**5, 10**300):
+            for delta in (hi, hi + 5e-13, hi + 1e-12, hi + 2e-12,
+                          1e-6, 1e-9, 1e-300, 5e-324, 0.5):
+                yield q, r, delta
+    # r * log1p(-mid) overflows to -inf at a midpoint where (1-delta)(q-1)mid
+    # - delta is exactly 0: there h' reads 0, not < 0, so hi moves
+    yield 2, 10**308, 0.47540983606557374
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (DomainError, ConvergenceFailure, InvariantViolation) as exc:
+        return type(exc)
+
+
+def test_gv_solve_is_bit_identical_to_the_reference_bisection():
+    ones = 0
+    for q, r, delta in _gv_inputs():
+        want = _outcome(reference_find_s0, q, r, delta)
+        assert _outcome(bounds.find_s0, q, r, delta) == want, (q, r, delta)
+        if isinstance(want, float):
+            qf, clamped = bounds._gv_domain(q, r, delta)
+            value = 1.0 - bounds._h(qf, r, clamped, want)
+            ones += bounds.gv_derivative_sign(q, r, delta, 1.0) < 0
+        else:
+            value = want
+        assert _outcome(bounds.gv_bound, q, r, delta) == value, (q, r, delta)
+    assert ones  # the h' < 0 branch, which returns s0 = 1
+
+
+@pytest.fixture
+def sign_probes(monkeypatch):
+    """The s of every gv_derivative_sign call, in order."""
+    probes = []
+    inner = bounds.gv_derivative_sign
+
+    def counting(q, r, delta, s):
+        probes.append(s)
+        return inner(q, r, delta, s)
+
+    monkeypatch.setattr(bounds, "gv_derivative_sign", counting)
+    return probes
+
+
+@pytest.mark.parametrize("q,r,delta", [
+    (65536, 32, 0.5), (729, 2, 0.5), (256, 2, 0.5), (2**64, 10**5, 0.9), (9, 2, 0.6),
+])
+@pytest.mark.parametrize("solve", [bounds.find_s0, bounds.gv_bound])
+def test_gv_solve_calls_the_sign_at_most_twice(sign_probes, solve, q, r, delta):
+    solve(q, r, delta)
+    assert len(sign_probes) <= 2
+
+
+def test_gv_solve_probes_the_sign_only_at_one_and_the_bracket_end(sign_probes):
+    # below delta = 1/2 the bracket may halve its low end, one probe per
+    # halving; no bisection midpoint is probed
+    for q, r, delta in itertools.islice(_gv_inputs(), 500):
+        sign_probes.clear()
+        bounds.find_s0(q, r, delta)
+        want, lo = [1.0], bounds.s0_window(q, r)[0]
+        while len(want) < len(sign_probes):
+            want.append(lo)
+            lo /= 2.0
+        assert sign_probes == want, (q, r, delta)
 
 
 # -- comparisons ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -50,6 +51,43 @@ def test_bounds_eval_main():
                     "--r", "2", "--delta", "0.5")
     assert result.exit_code == 0
     assert result.output.strip().endswith(repr(103 / 360))
+
+
+#: sha256 of the README `bounds` commands' standard output, recorded while
+#: find_s0 still called gv_derivative_sign at every bisection step
+README_BOUNDS = [
+    (("bounds", "eval", "--bound", "main", "--q", "256", "--r", "2", "--delta", "0.5"),
+     "d76789af2937122a8d702af17dcefdf58f7621e5ba7ac17855e1e24be9810000"),
+    (("bounds", "lists", "--q", "256", "--delta", "0.5"),
+     "c0f1553184967ee12b42bbf3b4613189f563357f98ab2c82385dd5b9b2c87f1b"),
+    (("bounds", "lists", "--reference-sets"),
+     "a2eeba1a61296cfe96c0fe22a985430f877182b7e601854a795d84b06448d74e"),
+    (("bounds", "s0", "--q", "65536", "--r", "32", "--delta", "0.5"),
+     "e85ba3c09394dbaa5b345a2a3df03795e6bfc1f49563df142ddefc37af52386f"),
+]
+#: sha256 of the fig1.csv the README `bounds sweep` command writes
+README_FIG1_CSV = "ce206e1e4e542aa8c3009d9eb29057eee5aa5c4ebaf1151c4882d603032aa8e1"
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("args,digest", README_BOUNDS,
+                         ids=["eval", "lists", "reference-sets", "s0"])
+def test_readme_bounds_output_is_pinned(args, digest):
+    result = invoke(*args)
+    assert result.exit_code == 0
+    assert sha256(result.stdout.encode()) == digest, result.stdout
+
+
+def test_readme_bounds_sweep_file_is_pinned(tmp_path):
+    out = tmp_path / "fig1.csv"
+    result = invoke("bounds", "sweep", "--bounds", "main,gv", "--q", "729", "--r", "2",
+                    "--delta-min", "0", "--delta-max", "0.66", "--steps", "67",
+                    "--out", str(out))
+    assert (result.exit_code, result.stdout) == (0, "")
+    assert sha256(out.read_bytes()) == README_FIG1_CSV
 
 
 def test_bounds_eval_domain_error_exit_code():

@@ -7,6 +7,7 @@ from lrctower import galois, tower
 from lrctower.errors import (
     DistanceNonpositive,
     InvariantViolation,
+    LocalityTooSmall,
     NoSquareRoot,
     NotAdmissible,
     SOutOfRange,
@@ -247,6 +248,15 @@ def test_levels_below_one_are_not_admissible(m):
                  lambda: tower.enumerate_places(spec, m)):
         with pytest.raises(NotAdmissible, match=f"level must be >= 1, got {m}"):
             call()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("r", [0, -1, -2])
+def test_s_range_rejects_localities_below_one(m, r):
+    # at m = 2 over GF(9), r = -1 once divided by zero and r = 0, -2 returned
+    # ranges
+    with pytest.raises(LocalityTooSmall, match=f"locality r = {r} < 1"):
+        tower.s_range(F(3, 2), m, r)
 
 
 def test_params_errors():
