@@ -25,6 +25,7 @@ the same midpoints as bisection on `gv_derivative_sign`.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from math import gcd, isqrt, log, log1p, sqrt
 
@@ -59,6 +60,7 @@ _GV_RANGE_IDS = frozenset({"plotkin", "gv", "lp", "naive_gv"})
 BEATS_TOL = 1e-9
 
 _DOMAIN_SLACK = 1e-12
+_FLOAT_MAX = sys.float_info.max
 
 
 #: one sweep point: (delta: float, bound_id: str, value: float)
@@ -70,6 +72,12 @@ def _check_q(q: float) -> float:
     if not 2 <= q < math.inf:
         raise DomainError(f"q must be finite and >= 2, got {q}")
     return q
+
+
+def _check_r(r: float) -> None:
+    """DomainError unless the locality r is >= 1 and within float range."""
+    if not 1 <= r <= _FLOAT_MAX:  # False for NaN
+        raise DomainError(f"locality must be finite and >= 1, got {r}")
 
 
 def _sqrt_q(q: float) -> int:
@@ -133,8 +141,7 @@ def closed_bound(bound_id: str, q: float, r: int, delta: float) -> float:
     """Evaluate one closed-form bound; values may be negative (callers clamp
     for display only)."""
     q = _check_q(q)
-    if r < 1:
-        raise DomainError(f"locality must be >= 1, got {r}")
+    _check_r(r)
     delta = _check_delta(q, delta, bound_id)
     frac = r / (r + 1.0)
     if bound_id == "rate_cap":
@@ -210,8 +217,7 @@ def lp_bound(q: float, r: int, delta: float) -> float:
     dense 2^12 grid, then golden-section refinement to |dtau| <= 1e-12.
     """
     q = _check_q(q)
-    if r < 1:
-        raise DomainError(f"locality must be >= 1, got {r}")
+    _check_r(r)
     delta = _check_delta(q, delta, "lp")
 
     def objective(tau: float) -> float:
@@ -246,8 +252,7 @@ def _h(q: float, r: int, delta: float, s: float) -> float:
 
 def _gv_domain(q: float, r: int, delta: float) -> tuple[float, float]:
     q = _check_q(q)
-    if r < 1:
-        raise DomainError(f"locality must be >= 1, got {r}")
+    _check_r(r)
     hi = 1.0 - 1.0 / q
     if not 0.0 < delta <= hi + _DOMAIN_SLACK:
         raise DomainError(f"gv needs delta in (0, {hi}], got {delta}")
@@ -403,23 +408,18 @@ def locality_params(p: int, w: int) -> list[tuple[int, int, int]]:
     q = p^w with w even and ell = p^(w/2): the automorphism subgroups of
     order r + 1 = u p^v that the tower constructions use.
 
-    Uses the v = 0 convention gcd(p^0 - 1, ell - 1) = ell - 1; sorted by r,
-    duplicates collapsed keeping the smallest v.  Integers only, so the
-    `bounds lists` commands build no field.
+    Uses the v = 0 convention gcd(p^0 - 1, ell - 1) = ell - 1; sorted by r.
+    Every u divides p^v - 1 (or ell - 1), so it is prime to p and
+    r + 1 = u p^v determines (u, v): no two triples share an r.  Integers
+    only, so the `bounds lists` commands build no field.
     """
     ell, wp = p ** (w // 2), w // 2
-    by_r: dict[int, tuple[int, int]] = {}
+    params = []
     for v in range(wp + 1):
         g = ell - 1 if v == 0 else gcd(p**v - 1, ell - 1)
-        for u in range(1, g + 1):
-            if g % u:
-                continue
-            r = u * p**v - 1
-            if r == 0:
-                continue
-            if r not in by_r or v < by_r[r][1]:
-                by_r[r] = (u, v)
-    return [(u, v, r) for r, (u, v) in sorted(by_r.items())]
+        params += [(u, v, u * p**v - 1) for u in range(1, g + 1)
+                   if g % u == 0 and u * p**v > 1]
+    return sorted(params, key=lambda t: t[2])
 
 
 def admissible_localities(q: int) -> list[int]:
@@ -452,8 +452,7 @@ def crossover_delta_naive(q: float, r: int) -> float:
     construction bound: (r(r-1) - sqrt(q)) / (q - sqrt(q))."""
     q = _check_q(q)
     rt = _sqrt_q(q)
-    if r < 1:
-        raise DomainError(f"locality must be >= 1, got {r}")
+    _check_r(r)
     return (r * (r - 1.0) - rt) / (q - rt)
 
 
@@ -461,9 +460,11 @@ def sweep(ids, q: float, r: int, delta_grid) -> list[CurveRow]:
     """One CurveRow per (delta, id), delta-major; out-of-domain rows carry NaN.
 
     Structural errors (unknown id, inadmissible btv query) propagate, and so
-    does a q or grid delta that is not finite, or a q below 2.
+    does a q or grid delta that is not finite, a q below 2 or a locality
+    that `_check_r` rejects.
     """
     _check_q(q)
+    _check_r(r)
     grid = list(delta_grid)
     if not all(map(math.isfinite, grid)) or any(
         b <= a for a, b in zip(grid, grid[1:])

@@ -186,7 +186,7 @@ def _dot(f: galois.FieldSpec, logs, xs) -> int:
 def _null_space(f: galois.FieldSpec, rows: list[list[int]]) -> list[list[int]]:
     """Index basis of {x : M x^T = 0} for the index row matrix M, one vector
     per free column."""
-    neg = f._logs[1][f.p - 1]  # log(-1)
+    mul = galois.index_ops(f)[1]
     ncols = len(rows[0]) if rows else 0
     red, pivots = _rref(f, rows)
     basis = []
@@ -194,7 +194,7 @@ def _null_space(f: galois.FieldSpec, rows: list[list[int]]) -> list[list[int]]:
         vec = [0] * ncols
         vec[fc] = 1
         for row, pc in zip(red, pivots):
-            vec[pc] = _dot(f, (neg,), (row[fc],))  # -row[fc]
+            vec[pc] = mul(row[fc], f.p - 1)  # -row[fc]
         basis.append(vec)
     return basis
 
@@ -448,8 +448,8 @@ def _lagrange_logs(f: galois.FieldSpec, x0: int, xs: list[int]) -> list[int]:
     """Logs of the Lagrange weights prod_{m != j} (x0 - x_m) / (x_j - x_m),
     -1 for a zero weight; DivideByZero when two x_j coincide."""
     log = f._logs[1]
-    neg = log[f.p - 1]  # log(-1)
-    diff = [[log[_dot(f, (0, neg), (a, b))] for b in xs] for a in [x0] + xs]  # log(a - b)
+    add, mul = galois.index_ops(f)
+    diff = [[log[add(a, mul(b, f.p - 1))] for b in xs] for a in [x0] + xs]  # log(a - b)
     logs = []
     for j, row in enumerate(diff[1:]):
         num, den = diff[0][:j] + diff[0][j + 1:], row[:j] + row[j + 1:]

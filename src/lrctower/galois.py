@@ -130,6 +130,23 @@ class FieldSpec:
         zech = [log[e + 1 if e % p < p - 1 else e + 1 - p] for e in powers]
         return powers + powers, log, zech
 
+    @cached_property
+    def _index_ops(self):
+        """`index_ops`: (add, mul) on canonical indices."""
+        exp, log, zech = self._logs
+        m = self.q - 1
+
+        def add(i: int, j: int) -> int:
+            if not (i and j):
+                return i or j
+            z = zech[(log[j] - log[i]) % m]
+            return exp[log[i] + z] if z >= 0 else 0
+
+        def mul(i: int, j: int) -> int:
+            return exp[log[i] + log[j]] if i and j else 0
+
+        return add, mul
+
     # -- element access ------------------------------------------------
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
@@ -277,31 +294,19 @@ class FieldElement:
         return other
 
     def __add__(self, other):
-        other = self._operand(other)
-        i, j = self.index, other.index
-        if not i:
-            return other
-        if not j:
-            return self
-        exp, log, zech = self.field._logs
-        z = zech[(log[j] - log[i]) % (self.field.q - 1)]
-        return FieldElement(self.field, exp[log[i] + z] if z >= 0 else 0)
+        add = self.field._index_ops[0]
+        return FieldElement(self.field, add(self.index, self._operand(other).index))
 
     def __sub__(self, other):
         return self + -self._operand(other)
 
     def __neg__(self):
-        if not self.index:
-            return self
-        exp, log, _ = self.field._logs
-        return FieldElement(self.field, exp[log[self.index] + log[self.field.p - 1]])
+        mul = self.field._index_ops[1]
+        return FieldElement(self.field, mul(self.index, self.field.p - 1))  # times -1
 
     def __mul__(self, other):
-        other = self._operand(other)
-        if not (self.index and other.index):
-            return self.field.zero()
-        exp, log, _ = self.field._logs
-        return FieldElement(self.field, exp[log[self.index] + log[other.index]])
+        mul = self.field._index_ops[1]
+        return FieldElement(self.field, mul(self.index, self._operand(other).index))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -389,20 +394,9 @@ def _require_square(spec: FieldSpec) -> int:
 
 
 def index_ops(spec: FieldSpec):
-    """(add, mul) on canonical indices, over the field's exp/log/Zech lists."""
-    exp, log, zech = spec._logs
-    m = spec.q - 1
-
-    def add(i: int, j: int) -> int:
-        if not (i and j):
-            return i or j
-        z = zech[(log[j] - log[i]) % m]
-        return exp[log[i] + z] if z >= 0 else 0
-
-    def mul(i: int, j: int) -> int:
-        return exp[log[i] + log[j]] if i and j else 0
-
-    return add, mul
+    """(add, mul) on canonical indices, over the field's exp/log/Zech lists;
+    built once per field."""
+    return spec._index_ops
 
 
 def _roots(spec: FieldSpec, e: int, c: int) -> list[int]:

@@ -8,9 +8,11 @@ additive kernel; subgroups of order u * p^v are assembled from a unit
 subgroup H and a repair subspace W.
 
 Subgroups, place enumeration and orbits run over canonical indices (index
-pairs (c, a) and index tuples), with every structural check kept there.  A
-subgroup is certified by closing its pairs from greedily drawn generators,
-in O(|G| log |G|) compositions.
+pairs (c, a) and index tuples), with every structural check kept there.
+The recursion lives in one pair of index maps per field, trace and step,
+which generate the places and check each listed place once.  A subgroup
+is certified by closing its pairs from greedily drawn generators, in
+O(|G| log |G|) compositions.
 Elements appear only in what the API returns: `TowerPlace` and `AutMap`
 (immutable named tuples) and `AutSubgroup.elements`.
 """
@@ -18,7 +20,7 @@ Elements appear only in what the API returns: `TowerPlace` and `AutMap`
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import bounds, galois
 from .errors import (
@@ -132,40 +134,38 @@ class AutSubgroup:
         return self.order
 
 
-def _place_check(spec: galois.FieldSpec):
-    """(norm, step, failure) over canonical indices: norm(x) = x^ell + x,
-    step(x) = x^ell / (x^(ell-1) + 1), and failure(coords) says why the index
-    tuple is not a rational place (validate_place's equations), or is None."""
-    ell = spec.ell
+@cache
+def _maps(spec: galois.FieldSpec) -> tuple[list[int], list[int]]:
+    """(trace, step) over canonical indices, built once per field:
+    trace[x] = x^ell + x, the trace to F_ell, and step[x] =
+    x^ell / (x^(ell-1) + 1), or -1 where the denominator is 0."""
     exp, log, _ = spec._logs
-    add, mul = galois.index_ops(spec)
-    m = spec.q - 1
+    add = galois.index_ops(spec)[0]
+    ell, m = spec.ell, spec.q - 1
+    trace, step = [0], [0]
+    for x in range(1, spec.q):
+        lx = log[x] * ell % m  # log(x^ell)
+        trace.append(add(exp[lx], x))
+        den = add(exp[log[x] * (ell - 1) % m], 1)
+        step.append(exp[lx + m - log[den]] if den else -1)
+    return trace, step
 
-    def power(x: int, e: int) -> int:  # e >= 1
-        return exp[log[x] * e % m] if x else 0
 
-    def norm(x: int) -> int:
-        return add(power(x, ell), x)
-
-    def step(x: int) -> int:  # -1, no element, where the denominator is 0
-        den = add(power(x, ell - 1), 1)
-        return mul(power(x, ell), exp[m - log[den]]) if den else -1
-
-    def failure(coords: tuple[int, ...]) -> str | None:
-        if not norm(coords[0]):
-            return "first coordinate lies in the additive kernel"
-        for i in range(1, len(coords)):
-            prev, cur = coords[i - 1], coords[i]
-            # cross-multiplied recursion check, denominator-free
-            if mul(norm(cur), add(power(prev, ell - 1), 1)) != power(prev, ell):
-                return f"recursion fails at coordinate {i + 1}"
-        return None
-
-    return norm, step, failure
+def _failure(maps: tuple[list[int], list[int]], coords: tuple[int, ...]) -> str | None:
+    """Why the index tuple is not a rational place of the tower whose
+    `_maps` are given, or None."""
+    trace, step = maps
+    if not trace[coords[0]]:
+        return "first coordinate lies in the additive kernel"
+    for i in range(1, len(coords)):
+        if trace[coords[i]] != step[coords[i - 1]]:
+            return f"recursion fails at coordinate {i + 1}"
+    return None
 
 
 def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
-    """All rational evaluation places of T_m, lexicographic in coordinate order."""
+    """All rational evaluation places of T_m, lexicographic in coordinate
+    order; each next coordinate x solves trace(x) = step(previous)."""
     if spec.ell is None:
         raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
     if m < 1:
@@ -174,15 +174,15 @@ def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     expected = ell ** (m - 1) * (q - ell)
     if expected > PLACE_GUARD:
         raise TooLarge(f"{expected} places exceed the guard {PLACE_GUARD}")
-    norm, step, _ = _place_check(spec)
-    pre: dict[int, list[int]] = {}  # v -> the ell solutions x of x^ell + x = v
-    for x in range(q):
-        pre.setdefault(norm(x), []).append(x)
-    level = [(a,) for a in range(q) if norm(a)]
+    trace, step = _maps(spec)
+    pre: dict[int, list[int]] = {}  # v -> the ell solutions x of trace(x) = v
+    for x, t in enumerate(trace):
+        pre.setdefault(t, []).append(x)
+    level = [(a,) for a in range(q) if trace[a]]
     for _ in range(m - 1):
         nxt = []
         for coords in level:
-            sols = pre.get(step(coords[-1]), [])
+            sols = pre.get(step[coords[-1]], [])
             if len(sols) != ell:  # pragma: no cover - structural
                 raise InvariantViolation(
                     f"step equation has {len(sols)} solutions, expected {ell}"
@@ -200,7 +200,7 @@ def validate_place(spec: galois.FieldSpec, place: TowerPlace) -> None:
     """Raise InvariantViolation unless the coordinates satisfy the recursion."""
     if spec.ell is None:
         raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
-    failure = _place_check(spec)[2](place.key())
+    failure = _failure(_maps(spec), place.key())
     if failure:
         raise InvariantViolation(failure)
 
@@ -247,18 +247,23 @@ def orbit_partition(group: AutSubgroup,
     """Partition the full place list into group orbits.
 
     Returns index lists into `places`; orbits are sorted by their smallest
-    member and each orbit is sorted in canonical place order.  The action
-    of `act_inverse` runs on index tuples, and each image is checked
-    against the tower recursion as `act_inverse` checks it.  The places
-    must be distinct, and every orbit must have exactly |group| members
-    with pairwise distinct last coordinates, the structural facts the
-    repair groups rely on.
+    member and each orbit is sorted in canonical place order.  Each listed
+    place is checked against the tower recursion once, as `validate_place`
+    checks it, and the action of `act_inverse` runs on index tuples; an
+    image outside the list is an error, so every image is a checked place.
+    The places must be distinct, and every orbit must have exactly |group|
+    members with pairwise distinct last coordinates, the structural facts
+    the repair groups rely on.
     """
     spec = group.spec
     exp, log, _ = spec._logs
     add, _ = galois.index_ops(spec)
-    failure = _place_check(spec)[2]
     keys = [pl.key() for pl in places]
+    maps = _maps(spec)
+    for i, key in enumerate(keys):
+        why = _failure(maps, key)
+        if why:
+            raise InvariantViolation(f"place {i}: {why}")
     index_of = {key: i for i, key in enumerate(keys)}
     if len(index_of) != len(keys):
         raise InvariantViolation("the place list repeats a place")
@@ -273,12 +278,8 @@ def orbit_partition(group: AutSubgroup,
             lc = log[c]
             img = [exp[lc + lx] if lx >= 0 else 0 for lx in logs]
             img[-1] = add(img[-1], a)
-            img = tuple(img)
-            why = failure(img)
-            if why:
-                raise InvariantViolation(f"image of place {i}: {why}")
-            j = index_of.get(img)
-            if j is None:  # pragma: no cover - structural
+            j = index_of.get(tuple(img))
+            if j is None:
                 raise InvariantViolation("orbit left the place list")
             members.add(j)
         if len(members) != group.order:

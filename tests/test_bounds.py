@@ -513,6 +513,21 @@ def test_non_finite_q_and_delta_are_domain_errors(bound_id, q, delta):
         bounds.sweep([bound_id], q, 2, [0.1, delta])
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda r: bounds.gv_bound(3, r, 0.6), id="gv_bound"),
+    pytest.param(lambda r: bounds.find_s0(3, r, 0.6), id="find_s0"),
+    pytest.param(lambda r: bounds.gv_derivative_sign(3, r, 0.6, 0.5), id="gv_derivative_sign"),
+    pytest.param(lambda r: bounds.closed_bound("main", 256, r, 0.3), id="closed_bound"),
+    pytest.param(lambda r: bounds.lp_bound(256, r, 0.3), id="lp_bound"),
+    pytest.param(lambda r: bounds.crossover_delta_naive(256, r), id="crossover_delta_naive"),
+    pytest.param(lambda r: bounds.sweep(["main"], 729, r, [0.1, 0.2]), id="sweep"),
+])
+def test_bad_locality_is_a_domain_error(call):
+    for r in (0, -1, 0.5, math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(DomainError, match="locality must be finite and >= 1"):
+            call(r)
+
+
 def test_non_finite_delta_in_find_s0():
     with pytest.raises(DomainError):
         bounds.find_s0(256, 2, math.nan)
@@ -523,3 +538,22 @@ def test_huge_q_fails_at_once():
     with pytest.raises(TooLarge):
         bounds.admissible_localities((10**9 + 7) ** 2)
     assert time.perf_counter() - start < 1.0
+
+
+def test_locality_params_match_a_brute_force_enumeration():
+    for p in (2, 3, 5, 7, 11, 13):
+        w = 2
+        while p**w <= 2**24:
+            ell = p ** (w // 2)
+            brute = sorted(
+                (u, v, u * p**v - 1)
+                for v in range(w // 2 + 1)
+                for u in range(1, ell)
+                if ((ell - 1) if v == 0 else math.gcd(p**v - 1, ell - 1)) % u == 0
+                and u * p**v > 1
+            )
+            params = bounds.locality_params(p, w)
+            assert sorted(params) == brute, (p, w)
+            rs = [r for (_, _, r) in params]
+            assert rs == sorted(set(rs)), (p, w)  # sorted by r, each r once
+            w += 2

@@ -90,6 +90,46 @@ def test_readme_bounds_sweep_file_is_pinned(tmp_path):
     assert sha256(out.read_bytes()) == README_FIG1_CSV
 
 
+#: sha256 of the README `tower` and `code` commands' artifacts, recorded
+#: while orbit_partition still re-checked the recursion on every orbit image
+README_PLACES_JSON = "94dbb7761c6f4d19bd0d93ec96dc43213cf1a21b3e4c9e8f6755618e0f0535b3"
+README_ORBITS = "a9c408ce9f8f55366b27bac710c7183d6fccd4a073c240f31cdc7476d61cbee6"
+README_CODE_JSON = "5c0d3a40ed9c8abb0b057a4f57bccdd69d79087d3ca0fb2844683673e054aedb"
+README_CODE_BUILD_STDERR = "f84b8628c0efdbff00fad993f4480c9036c449a4cd2357fcba5e6bb7829249ab"
+README_CODE_USE = [
+    (("verify", "--distance", "--locality"),
+     "a8866a5d4cc527661058a189a42aed2e7bc66f3242b93982e757389be5398cd0"),
+    (("repair", "--word", "4,7,?,1,0,3"),
+     "308ce945f9b40ec78523c6e1aa6ffd82160bb851e54c355bf6f2cb4cc32dabd2"),
+]
+
+
+def test_readme_tower_places_file_is_pinned(tmp_path):
+    out = tmp_path / "places.json"
+    result = invoke("tower", "places", "--q", "9", "--m", "2", "--out", str(out))
+    assert (result.exit_code, result.output) == (0, "")
+    assert sha256(out.read_bytes()) == README_PLACES_JSON
+
+
+def test_readme_tower_orbits_output_is_pinned():
+    result = invoke("tower", "orbits", "--q", "9", "--m", "1", "--u", "1", "--v", "1")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert sha256(result.stdout.encode()) == README_ORBITS, result.stdout
+
+
+def test_readme_code_commands_are_pinned(tmp_path):
+    code = tmp_path / "c.json"
+    result = invoke("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1",
+                    "--out", str(code))
+    assert (result.exit_code, result.stdout) == (0, "")
+    assert sha256(result.stderr.encode()) == README_CODE_BUILD_STDERR, result.stderr
+    assert sha256(code.read_bytes()) == README_CODE_JSON
+    for (command, *options), digest in README_CODE_USE:
+        result = invoke("code", command, str(code), *options)
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert sha256(result.stdout.encode()) == digest, result.stdout
+
+
 def test_bounds_eval_domain_error_exit_code():
     result = invoke("bounds", "eval", "--bound", "main", "--q", "5",
                     "--r", "2", "--delta", "0.5")
@@ -345,6 +385,15 @@ def test_no_temp_files_left(tmp_path):
     pytest.param(["bounds", "sweep", "--bounds", "main,gv", "--q", "nan", "--r", "2",
                   "--delta-min", "0", "--delta-max", "0.5", "--steps", "3"],
                  "DomainError", id="nan-q-sweep"),
+    *[pytest.param(["bounds", "eval", "--bound", bound, "--q", "256", "--r", "9" * 400,
+                    "--delta", "0.5"], "DomainError", id=f"huge-r-{bound}")
+      for bound in ("gv", "main", "lp")],
+    pytest.param(["bounds", "s0", "--q", "256", "--r", "9" * 400, "--delta", "0.5"],
+                 "DomainError", id="huge-r-s0"),
+    *[pytest.param(["bounds", "sweep", "--bounds", "main,gv", "--q", "729", "--r", r,
+                    "--delta-min", "0", "--delta-max", "0.5", "--steps", "3"],
+                   "DomainError", id=f"{name}-r-sweep")
+      for name, r in (("huge", "9" * 400), ("zero", "0"))],
     pytest.param(["bounds", "lists", "--q", str((10**9 + 7) ** 2)], "TooLarge",
                  id="huge-q"),
     pytest.param(["bounds", "sweep", "--bounds", "main,gv", "--q", "729", "--r", "2",

@@ -210,6 +210,20 @@ def test_field_arith_dispatch():
     assert (x - x).is_zero()
 
 
+@pytest.mark.parametrize("p,w", [(2, 2), (3, 2), (5, 1)])
+def test_index_ops_are_built_once_and_back_the_element_ops(p, w):
+    f = galois.field_create(p, w)
+    add, mul = galois.index_ops(f)
+    assert galois.index_ops(f) is galois.index_ops(f)
+    minus_one = f.scalar(-1)
+    for x in f.elements():
+        assert (-x).index == (x * minus_one).index == mul(x.index, p - 1)
+        for y in f.elements():
+            assert (x + y).index == add(x.index, y.index)
+            assert (x * y).index == mul(x.index, y.index)
+            assert x - y + y == x
+
+
 def test_artin_schreier_kernel_small_fields():
     f4 = galois.field_create(2, 2)
     assert idx_set(galois.artin_schreier_kernel(f4)) == {0, 1}

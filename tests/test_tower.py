@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -368,6 +369,77 @@ def test_orbit_partition_rejects_a_corrupted_place(p, w, u, v, m):
         bad[k] = places[k - 1]  # a valid place, listed twice
         with pytest.raises(InvariantViolation):
             tower.orbit_partition(group, bad)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p,w,u,v", [(3, 2, 2, 1), (2, 4, 3, 2), (5, 2, 4, 1)])
+def test_orbit_partition_rejects_an_orbit_of_non_places(p, w, u, v, m):
+    spec = F(p, w)
+    places = tower.enumerate_places(spec, m)
+    group = tower.build_subgroup(spec, u, v)
+    orbit = tower.orbit_partition(group, places)[1]
+    # the first place with its last coordinate moved off the recursion: the
+    # automorphisms map places to places and non-places to non-places
+    head = places[orbit[0]].coords[:-1]
+    last = next(x for x in spec.elements()
+                if tower._failure(tower._maps(spec), tuple(y.index for y in head + (x,))))
+    images = [tower.TowerPlace(m, tuple(s.c * y for y in head) + (s.c * last + s.a,))
+              for s in group]
+    bad = list(places)
+    for j, image in zip(orbit, images):
+        bad[j] = image
+    with pytest.raises(InvariantViolation,
+                       match=f"^place {orbit[0]}: recursion fails at coordinate {m}$"):
+        tower.orbit_partition(group, bad)
+
+
+@pytest.mark.parametrize("p,w,u,v,m", [(3, 2, 1, 1, 1), (3, 2, 2, 1, 2), (2, 4, 3, 2, 2)])
+def test_orbit_partition_names_a_corrupted_place_or_a_dropped_one(p, w, u, v, m):
+    spec = F(p, w)
+    places = tower.enumerate_places(spec, m)
+    group = tower.build_subgroup(spec, u, v)
+    k = len(places) // 2
+    bad = list(places)
+    bad[k] = tower.TowerPlace(m, places[k].coords[:-1] + (spec.zero(),))
+    with pytest.raises(InvariantViolation, match=f"^place {k}: "):
+        tower.orbit_partition(group, bad)
+    with pytest.raises(InvariantViolation, match="^orbit left the place list$"):
+        tower.orbit_partition(group, places[:-1])
+
+
+def _cross_multiplied_failure(spec, coords):
+    """The earlier, denominator-free form of the recursion check, kept as the
+    oracle of `tower._failure`: a_1^ell + a_1 != 0 and
+    (a_i^ell + a_i)(a_{i-1}^(ell-1) + 1) = a_{i-1}^ell, over elements."""
+    ell = spec.ell
+    x = [spec.from_index(c) for c in coords]
+    if (x[0] ** ell + x[0]).is_zero():
+        return "first coordinate lies in the additive kernel"
+    for i in range(1, len(x)):
+        if (x[i] ** ell + x[i]) * (x[i - 1] ** (ell - 1) + 1) != x[i - 1] ** ell:
+            return f"recursion fails at coordinate {i + 1}"
+    return None
+
+
+@pytest.mark.parametrize("p,w,m", [(2, 2, 2), (3, 2, 2), (2, 4, 2), (5, 2, 2), (7, 2, 2),
+                                   (2, 2, 3), (3, 2, 3)])
+def test_place_check_matches_the_cross_multiplied_oracle(p, w, m):
+    spec = F(p, w)
+    maps, valid = tower._maps(spec), []
+    for coords in itertools.product(range(spec.q), repeat=m):
+        why = tower._failure(maps, coords)
+        assert why == _cross_multiplied_failure(spec, coords), coords
+        if why is None:
+            valid.append(coords)
+    assert valid == [pl.key() for pl in tower.enumerate_places(spec, m)]
+
+
+@pytest.mark.parametrize("p,w", [(2, 2), (3, 2), (2, 4), (5, 2), (2, 6), (3, 4)])
+def test_kernel_is_the_zero_set_of_the_trace_map(p, w):
+    spec = F(p, w)
+    trace = tower._maps(spec)[0]
+    assert ([a.index for a in galois.artin_schreier_kernel(spec)]
+            == [x for x, t in enumerate(trace) if not t])
 
 
 # -- the generator certificate against the all-pairs oracle ------------------------
