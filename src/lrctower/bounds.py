@@ -16,10 +16,13 @@ very large r never overflow.  h is unimodal on (0, 1], so its minimum sits
 at the one critical point s0, or at s = 1 when h decreases throughout:
 `find_s0` locates it by bisection on the sign of h', and the GV bound is
 1 - h(s0).  `find_s0` and `gv_bound` each check (q, r, delta) once before
-the solve.  The solve probes s = 1 and the low end of its bracket through
-`gv_derivative_sign`, then bisects on constants hoisted out of its loop with
-that sign test written inline in the same float operations, so it visits
-the same midpoints as bisection on `gv_derivative_sign`.
+the solve, and reject an r whose (r + 1) ln q overflows.  The solve probes
+s = 1 and the low end of its bracket through `gv_derivative_sign`, places a
+Newton estimate of s0, certifies a band around it against an explicit
+rounding-error bound, then bisects on constants hoisted out of its loop with
+that sign test written inline in the same float operations, testing only the
+midpoints inside the band: it returns the float that bisection on
+`gv_derivative_sign` returns.
 """
 
 from __future__ import annotations
@@ -240,6 +243,10 @@ def lp_bound(q: float, r: int, delta: float) -> float:
 
 # -- GV bound ----------------------------------------------------------------
 
+#: `lrctower._s0band`, the band code of the GV solve, once a solve loads it
+_s0band = None
+
+
 def _h(q: float, r: int, delta: float, s: float) -> float:
     """The GV inner function, via two-term log-sum-exp."""
     lnq = log(q)
@@ -253,6 +260,11 @@ def _h(q: float, r: int, delta: float, s: float) -> float:
 def _gv_domain(q: float, r: int, delta: float) -> tuple[float, float]:
     q = _check_q(q)
     _check_r(r)
+    # (r+1) ln q bounds every (r+1) log1p((q-1) s) that _h and the solve
+    # take on (0, 1]; past float range those overflow
+    if not (r + 1.0) * log(q) < math.inf:
+        raise DomainError(
+            f"gv needs (r + 1) ln q finite, got r = {r:g}, q = {q:g}")
     hi = 1.0 - 1.0 / q
     if not 0.0 < delta <= hi + _DOMAIN_SLACK:
         raise DomainError(f"gv needs delta in (0, {hi}], got {delta}")
@@ -313,10 +325,18 @@ def find_s0(q: float, r: int, delta: float) -> float:
     bisection on the sign of h', or 1 when h' < 0 throughout.
 
     The probes at s = 1 and at the low end of the bracket call
-    `gv_derivative_sign`; the bisection writes its sign test inline on
-    constants hoisted out of the loop, in the same float operations and
-    order, so it visits the midpoints that bisection on
-    `gv_derivative_sign` visits and returns the same s0.
+    `gv_derivative_sign`.  The bisection then runs in three steps, and
+    returns the float that bisection on `gv_derivative_sign` returns, bit
+    for bit (`_solve_s0` gives the argument):
+
+    1. estimate: a Newton solve on v = log a_factor, with
+       s = (delta + e^v) / ((1-delta)(q-1)), places s* near the root;
+    2. certify: the sign test at the two ends of a band around s* must
+       clear an explicit rounding-error bound, with the right sign;
+    3. replay: the bisection loop runs as before, with the sign test written
+       inline on hoisted constants, but a midpoint outside the band takes
+       its side by comparison alone.  When the band does not certify, it is
+       the whole bracket and the loop tests every midpoint.
 
     For delta = 1/2 the result is checked against the closed `s0_window`
     whenever that window is at least 4 ulps wide.
@@ -326,7 +346,40 @@ def find_s0(q: float, r: int, delta: float) -> float:
 
 
 def _solve_s0(q: float, r: int, delta: float) -> float:
-    """`find_s0` on (q, delta) as `_gv_domain` returns them."""
+    """`find_s0` on (q, delta) as `_gv_domain` returns them.
+
+    Why the replay returns the float that bisection on `gv_derivative_sign`
+    returns.  Take qm1 = q-1, omd = 1-delta, slope = omd*qm1 and log(qm1)
+    as the floats the loop uses (phi below is exact arithmetic on them), and
+    A = slope*s - delta.  The loop reads h' < 0 at s ("falling") when A < 0,
+    when A = 0 unless r log1p(-s) overflows, and when A > 0 and LA < LB for
+    the float sums LA = t1 + l2 and LB = log(qm1) + t3 + l4 of the terms
+    t1 = r log1p(qm1 s), l2 = log A, t3 = r log1p(-s), l4 = log(delta + omd s).
+
+    - phi = LA - LB is strictly increasing wherever A > 0: its derivative
+      exceeds r qm1 / (1 + qm1 s) > 0, since
+      slope / A > 1/s > omd / (delta + omd s).
+    - The computed A is monotone in s (a rounded product, then a rounded
+      difference), so A < 0 at s holds at every s below it.
+    - With log and log1p within one ulp and no product in the subnormals,
+      the computed LA - LB is within E of phi, where
+      E = 6u (|t1| + |l2| + |t3| + |l4| + log(qm1) + 1) + 1.7u slope s / A
+      over the five terms; the last part bounds the cancellation in log A
+      (u = 2^-53, valid while u slope s / A <= 1/8).  Beyond a band end
+      the same bound holds with each term T moved to T +- 6u|T| and slope to
+      slope (1 +- u).  The two functions of s so obtained are increasing
+      wherever r qm1 s >= 2^-41, because the r-terms then grow faster than
+      the 12u/s these moves take from the log terms.  So E taken at a band
+      end bounds the error everywhere beyond it.
+
+    A band end b whose computed LA - LB exceeds 2E is therefore "not
+    falling", and so is every s in (b, 1); an end a with LA - LB < -2E, or
+    with A < 0, is "falling", and so is every s in [a/2, a).  No midpoint
+    below a/2 is reached: a midpoint is at least hi/2, and hi only moves to
+    midpoints that are not falling, so hi stays >= a.  Above the band an
+    overflow of r log1p(...) can only raise LA or sink LB, the side the band
+    gives.  `_s0band._side` makes the check, with slack for its own rounding.
+    """
     hi = 1.0
     if gv_derivative_sign(q, r, delta, hi) < 0:
         # h decreasing on all of (0, 1]: minimum sits at the right endpoint
@@ -345,21 +398,31 @@ def _solve_s0(q: float, r: int, delta: float) -> float:
     omd = 1.0 - delta
     slope = omd * qm1
     log_qm1 = log(qm1)
+    global _s0band
+    if _s0band is None:  # compiled on the first solve, not on import
+        from . import _s0band
+    band_lo, band_hi = _s0band.band(q, r, delta, qm1, omd, slope, log_qm1,
+                                    lo, hi)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        a_factor = slope * mid - delta
-        if a_factor > 0.0:
-            falling = (r * log1p(qm1 * mid) + log(a_factor)
-                       < log_qm1 + r * log1p(-mid) + log(delta + omd * mid))
-        else:
-            # log_b > -inf, which fails only where r * log1p(-mid) overflows
-            falling = a_factor < 0.0 or r * log1p(-mid) > -math.inf
-        if falling:
+        if mid < band_lo:
             lo = mid
-        else:
+        elif mid > band_hi:
             hi = mid
+        else:
+            a_factor = slope * mid - delta
+            if a_factor > 0.0:
+                falling = (r * log1p(qm1 * mid) + log(a_factor)
+                           < log_qm1 + r * log1p(-mid) + log(delta + omd * mid))
+            else:
+                # log_b > -inf, which fails only where r * log1p(-mid) overflows
+                falling = a_factor < 0.0 or r * log1p(-mid) > -math.inf
+            if falling:
+                lo = mid
+            else:
+                hi = mid
     s0 = 0.5 * (lo + hi)
     # a closed test: bisection may round s0 onto an end of a narrow window
     resolvable = right - left >= 4.0 * math.ulp(left)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from lrctower import bounds
+from lrctower import _s0band, bounds
 from lrctower.errors import (
     ConvergenceFailure,
     DomainError,
@@ -15,7 +15,13 @@ from lrctower.errors import (
     TooLarge,
 )
 
-from gv_oracle import gv_grid_oracle, reference_find_s0
+from gv_oracle import (
+    adversarial_gv_inputs,
+    bench_like_gv_inputs,
+    gv_grid_oracle,
+    reference_find_s0,
+)
+from gv_oracle import gv_inputs as _gv_inputs
 
 # ---------------------------------------------------------------------------
 # independent oracles: dense grids with their own log-sum-exp, no reuse of
@@ -271,42 +277,6 @@ def test_derivative_sign_clamps_delta_like_find_s0():
 
 # -- the GV solve against its earlier bisection ---------------------------------------
 
-_PRIMES = [p for p in range(2, 10_000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-#: prime powers up to 2^64 and some large primes, square and not
-_SQUARE_QS = sorted(
-    {4**k for k in range(1, 33)}
-    | {b ** (2 * k) for b in (3, 5, 7) for k in range(1, 40) if b ** (2 * k) < 2**53}
-    | {p * p for p in _PRIMES[4:]}
-)
-_NON_SQUARE_QS = sorted(
-    {2 ** (2 * k + 1) for k in range(32)}
-    | {b ** (2 * k + 1) for b in (3, 5, 7) for k in range(40) if b ** (2 * k + 1) < 2**53}
-    | set(_PRIMES[3:]) | {2**31 - 1, 2**61 - 1}
-)
-REFERENCE_QS = (2**8, 2**10, 2**12, 3**6, 3**8, 5**4, 5**6, 5**8)
-
-
-def _gv_inputs():
-    """(q, r, delta) drawn as the gv and s0 requests of the bounds-query
-    benchmark draw them, then the edge cases."""
-    rng = random.Random(16)
-    for _ in range(20_000):
-        q = rng.choice(_SQUARE_QS if rng.random() < 0.5 else _NON_SQUARE_QS)
-        yield q, int(10 ** rng.uniform(0, 5)), rng.uniform(0.02, 0.98) * (1 - 1 / q)
-    for q in REFERENCE_QS:
-        for r in bounds.admissible_localities(q):
-            yield q, r, 0.5
-    for q in (2, 3, 4, 5, 9, 16, 729, 2**31 - 1, 2**61 - 1, 2**64):
-        hi = 1 - 1 / q
-        for r in (1, 2, 32, 1073, 1074, 1075, 10**5, 10**300):
-            for delta in (hi, hi + 5e-13, hi + 1e-12, hi + 2e-12,
-                          1e-6, 1e-9, 1e-300, 5e-324, 0.5):
-                yield q, r, delta
-    # r * log1p(-mid) overflows to -inf at a midpoint where (1-delta)(q-1)mid
-    # - delta is exactly 0: there h' reads 0, not < 0, so hi moves
-    yield 2, 10**308, 0.47540983606557374
-
-
 def _outcome(solve, *args):
     try:
         return solve(*args)
@@ -363,6 +333,60 @@ def test_gv_solve_probes_the_sign_only_at_one_and_the_bracket_end(sign_probes):
             want.append(lo)
             lo /= 2.0
         assert sign_probes == want, (q, r, delta)
+
+
+def test_gv_solve_is_bit_identical_on_the_adversarial_corpus():
+    near_base = 0
+    for q, r, delta in adversarial_gv_inputs():
+        want = reference_find_s0(q, r, delta)
+        assert bounds.find_s0(q, r, delta) == want, (q, r, delta)
+        qf, clamped = bounds._gv_domain(q, r, delta)
+        value = 1.0 - bounds._h(qf, r, clamped, want)
+        assert bounds.gv_bound(q, r, delta) == value, (q, r, delta)
+        if clamped < 1.0:  # 1 - 1/q rounds to 1 at q = 2^64
+            base = clamped / ((1.0 - clamped) * (qf - 1.0))
+            near_base += abs(want - base) <= 4.0 * math.ulp(base)
+    assert near_base >= 300  # s0 within 4 ulps of the point where h' = 0 at r = oo
+
+
+def test_gv_solve_without_a_certified_band_tests_every_midpoint(monkeypatch):
+    # r = 10^300: the rounding error of r log1p(...) outweighs the sign test's
+    # growth across every band tried; delta = 5e-324: s0 lies far below where
+    # the certificate holds.  The band is then the whole bracket.
+    bands = []
+    inner = _s0band.band
+
+    def recording(*args):
+        bands.append((inner(*args), args[-2:]))
+        return bands[-1][0]
+
+    monkeypatch.setattr(_s0band, "band", recording)
+    for q, r, delta in [(2**31 - 1, 10**300, 0.5), (2**61 - 1, 10**300, 1e-9),
+                        (9, 10**300, 5e-324)]:
+        bands.clear()
+        assert bounds.find_s0(q, r, delta) == reference_find_s0(q, r, delta)
+        [(band, bracket)] = bands
+        assert band == bracket, (q, r, delta)
+
+
+def test_gv_solve_log1p_calls_stay_few(monkeypatch):
+    # the median was 107 while every bisection midpoint ran the sign test,
+    # and 19 with the certified band
+    calls = []
+    inner = bounds.log1p
+
+    def counting(x):
+        calls.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(bounds, "log1p", counting)
+    monkeypatch.setattr(_s0band, "log1p", counting)
+    per_solve = []
+    for q, r, delta in bench_like_gv_inputs(2000):
+        calls.clear()
+        bounds.find_s0(q, r, delta)
+        per_solve.append(len(calls))
+    assert sorted(per_solve)[len(per_solve) // 2] <= 19
 
 
 # -- comparisons ----------------------------------------------------------------------
@@ -526,6 +550,26 @@ def test_bad_locality_is_a_domain_error(call):
     for r in (0, -1, 0.5, math.nan, math.inf, -math.inf, 10**400):
         with pytest.raises(DomainError, match="locality must be finite and >= 1"):
             call(r)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda q, r: bounds.gv_bound(q, r, 0.6), id="gv_bound"),
+    pytest.param(lambda q, r: bounds.find_s0(q, r, 0.6), id="find_s0"),
+    pytest.param(lambda q, r: bounds.gv_derivative_sign(q, r, 0.6, 0.5),
+                 id="gv_derivative_sign"),
+])
+@pytest.mark.parametrize("q,r", [(3, 1.7e308), (3, 1.79e308), (2**64, 1e307)])
+def test_gv_locality_whose_r_ln_q_overflows_is_a_domain_error(call, q, r):
+    # r * log1p((q-1) s) overflows inside (0, 1]: gv_bound(3, 1.7e308, 0.6)
+    # read 0.8429, far from its r -> infinity limit 1 - H_3(0.6)
+    with pytest.raises(DomainError, match=r"gv needs \(r \+ 1\) ln q finite"):
+        call(q, r)
+
+
+def test_gv_locality_just_inside_float_range_keeps_its_limit():
+    for r in (1e300, 1e308, 10**308):
+        assert bounds.gv_bound(3, r, 0.6) == pytest.approx(
+            1 - bounds.entropy(3, 0.6), abs=1e-12)
 
 
 def test_non_finite_delta_in_find_s0():

@@ -291,10 +291,12 @@ def _probe(tmp_path, steps):
 def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
     """No CLI command loads numpy (only `all_codewords` and `tables()` do),
     click or dataclasses, and each loads only the submodules it runs: the bounds
-    commands none of codes, galois and tower, the tower commands no codes,
-    and `code repair` and `code verify` no tower."""
+    commands none of codes, galois and tower (those that solve GV `_s0band`,
+    which then stays loaded), the tower commands no codes, and `code repair`
+    and `code verify` no tower."""
     bare, field = "bounds,cli,errors", "bounds,cli,errors,galois,tower"
     code, full = "bounds,cli,codes,errors,galois", "bounds,cli,codes,errors,galois,tower"
+    gv, gv_field, gv_full = ("_s0band," + mods for mods in (bare, field, full))
     assert _probe(tmp_path, [
         ["bounds", "eval", "--bound", "main", "--q", "256", "--r", "2", "--delta", "0.5"],
         ["bounds", "sweep", "--bounds", "main,gv,lp", "--q", "256", "--r", "2",
@@ -306,9 +308,9 @@ def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
         ["code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1", "--out", "c.json"],
     ]) == [
         f"import False False False {bare}", f"bounds eval False False False {bare}",
-        f"bounds sweep False False False {bare}", f"bounds s0 False False False {bare}",
-        f"bounds lists False False False {bare}", f"bounds lists False False False {bare}",
-        f"tower orbits False False False {field}", f"code build False False False {full}",
+        f"bounds sweep False False False {gv}", f"bounds s0 False False False {gv}",
+        f"bounds lists False False False {gv}", f"bounds lists False False False {gv}",
+        f"tower orbits False False False {gv_field}", f"code build False False False {gv_full}",
     ]
     assert _probe(tmp_path, [
         ["code", "repair", "c.json", "--word", "4,7,?,1,0,3"],
@@ -390,6 +392,11 @@ def test_no_temp_files_left(tmp_path):
       for bound in ("gv", "main", "lp")],
     pytest.param(["bounds", "s0", "--q", "256", "--r", "9" * 400, "--delta", "0.5"],
                  "DomainError", id="huge-r-s0"),
+    # finite r whose (r + 1) ln q overflows: int(1.7e308) and 10^307 (at q = 2^64)
+    *[pytest.param(["bounds", *cmd, "--q", q, "--r", r, "--delta", "0.6"],
+                   "DomainError", id=f"overflowing-r-{cmd[0]}-q{q}")
+      for cmd in (["eval", "--bound", "gv"], ["s0"])
+      for q, r in (("3", str(int(1.7e308))), (str(2**64), str(10**307)))],
     *[pytest.param(["bounds", "sweep", "--bounds", "main,gv", "--q", "729", "--r", r,
                     "--delta-min", "0", "--delta-max", "0.5", "--steps", "3"],
                    "DomainError", id=f"{name}-r-sweep")
