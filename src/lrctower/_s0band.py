@@ -40,12 +40,14 @@ def _estimate(q, r, delta, qm1, omd, slope):
     stays well conditioned as a -> 0, where the root often sits.  It starts
     at the least of three upper bounds on the root: the solution with x
     frozen at a = 0, and the two asymptotes of the model
-    x = r log1p(e^v / omd), which underestimates x.
+    x = r log1p(e^v / omd), which underestimates x; but no higher than
+    a = (slope - delta)/2, half of a at s = 1, where x is finite.
     """
     lqd = log(q * delta)
     log_omd = log(omd)
     v = min(log_omd + (lqd - log_omd) / (r + 1.0),
-            0.5 * (log_omd + lqd - log(r)))
+            0.5 * (log_omd + lqd - log(r)),
+            log(0.5 * (slope - delta)))
     base = delta / slope
     x = r * (log1p(qm1 * base) - log1p(-base))
     if x > 0.0:

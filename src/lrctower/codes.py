@@ -17,17 +17,26 @@ rule and the rows as running products of logs, `from_json` decodes each
 coefficient list to an index in one pass, and `to_json` writes the digits
 of the indices.  One repair formula serves both builders: the erased
 symbol is sum_j lambda_j y_j over its group mates (a coordinate -> group
-table finds them), with Lagrange weights at the y values (kept per
-coordinate after the first repair), or lambda_j = -1 for naive codes.
+table finds them), with Lagrange weights at the y values, or
+lambda_j = -1 for naive codes.
 
-`encode` works a row at a time on bytes for q <= 256 (a code keeps its
-rows as bytes after its first encode): each nonzero message symbol m
-scales its row with one `bytes.translate` by the field's mul[m] table.
-For p = 2 the scaled rows are summed as one XOR of their ints; for odd
-p <= 127 by one byte lane per digit position (one translate per digit,
-plain integer adds, and a mod-p translate before any byte could pass
-255).  The symbols come from the field's tuple of its q elements.  Other
-fields (q > 256, or 127 < p <= 251) sum each column with `_dot`.
+For q <= 256 and p <= 127 encode and repair read per-code tables built on
+first use.  The encode table holds, for every generator row i and symbol
+m, the int of the bytes of m row_i (p = 2), or of its w digit lanes of n
+bytes each (odd p): k q ints of n or w n bytes, about k q (w n + 36)
+bytes with Python's object headers (1.1 MB for GF(256) [240,15], built
+in 0.8 ms on the first encode on a 2-vCPU host).  A message symbol is
+then one lookup, and the terms are summed as one XOR (p = 2) or as
+plain integer sums of the lanes, reduced mod p by a translate before
+any byte could pass 255.  The repair plan of a coordinate, made on its
+first repair, holds its group mates and the byte tables mul[lambda_j]
+(r references to the field's tables); a repair is then one lookup
+and one add-table step per mate.  A list or tuple of integer symbols is
+read at C speed by `bytes`; elements, other containers and every bad
+symbol go through `_indices`, so the checks and messages are those of
+the one reader.  Other fields (q > 256, or 127 < p <= 251) sum each
+column, or the mates, with `_dot` over the exp/log/Zech lists, the plan
+keeping logs.
 
 Verification is dual-route everywhere it matters: locality is checked both
 algebraically (column spans) and exhaustively (codeword supports), the
@@ -47,6 +56,8 @@ import json
 import sys
 from array import array
 from collections import namedtuple
+from functools import reduce
+from operator import getitem, itemgetter, xor
 from operator import index as _integer
 
 from . import galois
@@ -258,8 +269,8 @@ class LinearCode:
         self.meta = {} if meta is None else meta
         self._rows = [read(row) for row in rows]
         self._ys = None if ys is None else read(ys)
-        self._row_bytes: list[bytes] | None = None  # the rows as bytes, after an encode
-        self._weight_logs: dict[int, list[int]] = {}  # repair weights per coordinate
+        self._encode_table: list[list[int]] | None = None  # built on the first encode
+        self._plans: dict[int, tuple] = {}  # coordinate -> `_repair_plan`, on its first repair
         self._group: dict[int, tuple[int, ...]] = {}  # coordinate -> its repair group
         if len(_rref(field, self._rows)[1]) != k:
             raise RankDeficiency(f"generator rank below k = {k}")
@@ -392,56 +403,92 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
 
 # -- operations -----------------------------------------------------------------
 
+def _bytewise(f: galois.FieldSpec) -> bool:
+    """Whether encode and repair run on per-code byte tables: q <= 256 puts
+    a symbol in a byte, and p <= 127 lets a digit lane add two terms."""
+    return f.q <= 256 and f.p <= 127
+
+
+def _symbols(f: galois.FieldSpec, entries) -> bytes | tuple[int, ...]:
+    """Canonical indices of a message or of group mates.  A list or tuple
+    of integers in [0, min(q, 256)) is read at C speed by `bytes`, which
+    takes each entry with `operator.index` as `_indices` does; anything
+    else (elements, arrays, whose raw buffer `bytes` would read, and every
+    bad entry) goes through `_indices`, with its checks and messages."""
+    if type(entries) is list or type(entries) is tuple:
+        try:
+            raw = bytes(entries)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not raw or max(raw) < f.q:
+                return raw
+    return _indices(f, entries, ints=True)
+
+
+def _encode_table(code: LinearCode) -> list[list[int]]:
+    """table[i][m], the ints whose little-endian bytes are m times row i of
+    the generator, for every message symbol m; q <= 256 and p <= 127.
+
+    For p = 2 an int holds the n index bytes of m row_i, and a codeword
+    is the XOR of its terms.  For odd p it holds w lanes of n bytes, lane
+    t the digits t of m row_i, so a plain sum of terms adds each lane
+    bytewise until a byte could pass 255.  That is k q ints of n (p = 2)
+    or w n bytes each, built on the first encode from k w translates and
+    k q XORs (p = 2) or from k q w translates.
+    """
+    f = code.field
+    rows = [bytes(row) for row in code._rows]
+    if f.p == 2:  # (m + 2^b) row = m row XOR 2^b row for m < 2^b: w translates a row
+        mul, table = f._byte_tables[1], []
+        for row in rows:
+            scaled = [0]
+            for b in range(f.w):
+                unit = int.from_bytes(row.translate(mul[1 << b]), "little")
+                scaled += [x ^ unit for x in scaled]
+            table.append(scaled)
+        return table
+    digit = f._digit_tables[0]
+    return [[int.from_bytes(b"".join([row.translate(d[m]) for d in digit]), "little")
+             for m in range(f.q)] for row in rows]
+
+
 def encode(code: LinearCode, message) -> tuple[Element, ...]:
     """message x generator; message entries are elements or canonical indices.
 
-    For q <= 256 and p <= 127 the sum runs a row at a time on byte lanes
-    (`_lane_sum`); otherwise each column is one `_dot`.
+    For q <= 256 and p <= 127 each message symbol m_i is one lookup,
+    `_encode_table`[i][m_i], and the terms are summed as one XOR (p = 2)
+    or as plain integer sums of digit lanes, reduced mod p by a translate
+    before any byte could pass 255; otherwise each column is one `_dot`.
     """
     if len(message) != code.k:
         raise LengthMismatch(f"message length {len(message)} != k = {code.k}")
     f = code.field
-    message = _indices(f, message, ints=True)
-    if f.q > 256 or f.p > 127:
-        logs = [f._logs[1][m] for m in message]  # log(0) = -1
-        cols = zip(*code._rows) if code.k else [()] * code.n
-        return tuple(Element(f, _dot(f, logs, col)) for col in cols)
-    rows = code._row_bytes
-    if rows is None:
-        rows = code._row_bytes = [bytes(row) for row in code._rows]
-    word = _lane_sum(f, [(m, row) for m, row in zip(message, rows) if m], code.n)
-    return tuple(map(f._elements.__getitem__, word))
-
-
-def _lane_sum(f: galois.FieldSpec, terms, n: int) -> bytes:
-    """sum m row over the (m, row) terms, for rows of n index bytes and
-    q <= 256, as n index bytes.  Each term is its row translated by m.
-
-    For p = 2 the sum of indices is their XOR, over the ints of the
-    scaled rows.  For odd p <= 127 each digit position t has a lane: the
-    plain sum of the terms' digits t (one translate by the `digit[t][m]`
-    table each), reduced mod p by a translate after each chunk of terms
-    that keeps every byte below 256; the index is then sum_t lane_t p^t,
-    which carries no byte.
-    """
-    p = f.p
+    message = _symbols(f, message)
+    table = code._encode_table
+    if table is None:
+        if not _bytewise(f):
+            logs = [f._logs[1][m] for m in message]  # log(0) = -1
+            cols = zip(*code._rows) if code.k else [()] * code.n
+            return tuple(Element(f, _dot(f, logs, col)) for col in cols)
+        table = code._encode_table = _encode_table(code)
+    p, n = f.p, code.n
     if p == 2:
-        mul = f._byte_tables[1]
-        acc = 0
-        for m, row in terms:
-            acc ^= int.from_bytes(row.translate(mul[m]), "little")
-        return acc.to_bytes(n, "little")
-    digit, mod_p = f._digit_tables
-    chunk = 255 // (p - 1) - 1  # terms a byte holding a residue can add
-    word = 0
-    for t, tables in enumerate(digit):
-        lane = 0
-        for start in range(0, len(terms), chunk):
-            for m, row in terms[start:start + chunk]:
-                lane += int.from_bytes(row.translate(tables[m]), "little")
-            lane = int.from_bytes(lane.to_bytes(n, "little").translate(mod_p), "little")
-        word += lane * p**t
-    return word.to_bytes(n, "little")
+        word = reduce(xor, map(getitem, table, message), 0)
+    else:
+        mod_p, size = f._digit_tables[1], f.w * n
+        chunk = 255 // (p - 1) - 1  # terms a byte holding a residue can add
+        acc = sum(map(getitem, table[:chunk], message[:chunk]))
+        for start in range(chunk, code.k, chunk):
+            acc = int.from_bytes(acc.to_bytes(size, "little").translate(mod_p), "little")
+            acc += sum(map(getitem, table[start:start + chunk], message[start:start + chunk]))
+        lanes = int.from_bytes(acc.to_bytes(size, "little").translate(mod_p), "little")
+        word = lanes >> 8 * n * (f.w - 1)
+        mask = (1 << 8 * n) - 1
+        for t in range(f.w - 2, -1, -1):  # the index is sum_t lane_t p^t, with no carry
+            word = word * p + ((lanes >> 8 * n * t) & mask)
+    elements = itemgetter(*word.to_bytes(n, "little"))(f._elements)
+    return elements if n > 1 else (elements,)  # one index gets the element itself
 
 
 def _lagrange_logs(f: galois.FieldSpec, x0: int, xs: list[int]) -> list[int]:
@@ -459,6 +506,23 @@ def _lagrange_logs(f: galois.FieldSpec, x0: int, xs: list[int]) -> list[int]:
     return logs
 
 
+def _repair_plan(code: LinearCode, idx: int, others: list[int]) -> tuple[tuple, list]:
+    """(others, weights) for the erased coordinate idx: its group mates and
+    their weights lambda_j, as logs (-1 for zero) for `_dot`, or for
+    `_bytewise` fields as the byte tables mul[lambda_j]."""
+    f = code.field
+    if code.meta.get("construction") == "naive":
+        logs = [f._logs[1][f.p - 1]] * len(others)  # log(-1)
+    elif code._ys is None:
+        raise NoGroups("code carries no evaluation points for interpolation")
+    else:
+        logs = _lagrange_logs(f, code._ys[idx], [code._ys[j] for j in others])
+    if not _bytewise(f):
+        return tuple(others), logs
+    exp, mul = f._logs[0], f._byte_tables[1]
+    return tuple(others), [mul[exp[lw] if lw >= 0 else 0] for lw in logs]
+
+
 def local_repair(code: LinearCode, word, idx: int) -> Element:
     """Recover the erased symbol at idx from the rest of its repair group.
 
@@ -466,31 +530,48 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
     entries are elements or canonical indices.  Naive codes have
     lambda_j = -1, their all-ones parity relation; otherwise the lambda_j
     are the Lagrange weights at the y values, which interpolate the
-    degree <= r-1 polynomial through the group mates.  The weights of a
-    coordinate are computed on its first repair and kept on the code.
+    degree <= r-1 polynomial through the group mates.  A coordinate's
+    mates and weights (`_repair_plan`) are computed on its first repair
+    and kept on the code; later repairs read the mates' indices straight
+    from elements of the field, and any other word goes through the
+    checks of the first repair.  For q <= 256 and p <= 127 the sum is one
+    lookup mul[lambda_j][x_j] and one add (XOR for p = 2) per mate.
     idx is read with `operator.index`, as the symbols are.
     """
     try:
         idx = _integer(idx)
     except TypeError:
         raise SpecMismatch(f"coordinate {idx!r} is not an integer") from None
+    f = code.field
+    plan = code._plans.get(idx)
+    if plan is not None and _bytewise(f):  # mates that are elements of f, in one pass
+        add, acc = f._byte_tables[0], 0
+        try:
+            for j, table in zip(*plan):
+                x = word[j]
+                if x.field is not f:
+                    break
+                acc = add[acc][table[x.index]]
+            else:
+                return f._elements[acc]
+        except AttributeError:  # an integer symbol or an erasure
+            pass
+    # in order: the group, further erasures, the symbols, then the weights
     group = code.group_of(idx)
     others = [j for j in group if j != idx]
     missing = [j for j in others if word[j] is None]
     if missing:
         raise NotRepairable(f"group of {idx} has further erasures at {missing}")
-    f = code.field
-    symbols = _indices(f, [word[j] for j in others], ints=True)
-    logs = code._weight_logs.get(idx)
-    if logs is None:
-        if code.meta.get("construction") == "naive":
-            logs = [f._logs[1][f.p - 1]] * len(others)  # log(-1)
-        elif code._ys is None:
-            raise NoGroups("code carries no evaluation points for interpolation")
-        else:
-            logs = _lagrange_logs(f, code._ys[idx], [code._ys[j] for j in others])
-        code._weight_logs[idx] = logs
-    return Element(f, _dot(f, logs, symbols))
+    xs = _symbols(f, [word[j] for j in others])
+    if plan is None:
+        plan = code._plans[idx] = _repair_plan(code, idx, others)
+    weights = plan[1]
+    if not _bytewise(f):
+        return Element(f, _dot(f, weights, xs))
+    add, acc = f._byte_tables[0], 0
+    for table, x in zip(weights, xs):
+        acc = add[acc][table[x]]
+    return f._elements[acc]
 
 
 def all_codewords(code: LinearCode, limit: int = 1 << 18):

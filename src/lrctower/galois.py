@@ -326,7 +326,7 @@ class FieldElement:
         return (
             isinstance(other, FieldElement)
             and self.index == other.index
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):

@@ -163,6 +163,20 @@ def _failure(maps: tuple[list[int], list[int]], coords: tuple[int, ...]) -> str 
     return None
 
 
+def _pair_failure(spec: galois.FieldSpec, pairs) -> str | None:
+    """Why the first (c, a) index pair that is not a tower automorphism is
+    not one, or None: c must lie in F_ell^*, where log c is a multiple of
+    (q-1)/(ell-1) = ell+1, and a in the additive kernel, trace(a) = 0."""
+    log, trace = spec._logs[1], _maps(spec)[0]
+    for c, a in pairs:
+        if log[c] % (spec.ell + 1):
+            return f"pair {(c, a)} is not a tower automorphism: c lies outside F_{spec.ell}^*"
+        if trace[a]:
+            return (f"pair {(c, a)} is not a tower automorphism: "
+                    "a lies outside the additive kernel")
+    return None
+
+
 def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     """All rational evaluation places of T_m, lexicographic in coordinate
     order; each next coordinate x solves trace(x) = step(previous)."""
@@ -253,13 +267,18 @@ def orbit_partition(group: AutSubgroup,
     image outside the list is an error, so every image is a checked place.
     The places must be distinct, and every orbit must have exactly |group|
     members with pairwise distinct last coordinates, the structural facts
-    the repair groups rely on.
+    the repair groups rely on.  `AutSubgroup` certifies a group of affine
+    pairs; that each pair acts on the tower (`_pair_failure`) is checked
+    here, where the pairs act.
     """
     spec = group.spec
     exp, log, _ = spec._logs
     add, _ = galois.index_ops(spec)
     keys = [pl.key() for pl in places]
     maps = _maps(spec)
+    why = _pair_failure(spec, group.pairs)
+    if why:
+        raise InvariantViolation(why)
     for i, key in enumerate(keys):
         why = _failure(maps, key)
         if why:

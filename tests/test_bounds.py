@@ -369,6 +369,24 @@ def test_gv_solve_without_a_certified_band_tests_every_midpoint(monkeypatch):
         assert band == bracket, (q, r, delta)
 
 
+def test_gv_solve_certifies_a_band_for_a_root_near_one(monkeypatch):
+    # the Newton start of the estimate lay at s = 1 here, where log1p(-s)
+    # raised, so the band was the whole bracket; s0 = 0.687
+    bands = []
+    inner = _s0band.band
+
+    def recording(*args):
+        bands.append((inner(*args), args[-2:]))
+        return bands[-1][0]
+
+    monkeypatch.setattr(_s0band, "band", recording)
+    for q, r, delta in [(5, 1, 0.653606441224732), (5, 1, 0.75), (3, 1, 0.6), (2, 1, 0.45)]:
+        bands.clear()
+        assert bounds.find_s0(q, r, delta) == reference_find_s0(q, r, delta)
+        [((band_lo, band_hi), (lo, hi))] = bands
+        assert lo < band_lo < band_hi < hi, (q, r, delta)
+
+
 def test_gv_solve_log1p_calls_stay_few(monkeypatch):
     # the median was 107 while every bisection midpoint ran the sign test,
     # and 19 with the certified band

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import encode_oracle
 from lrctower import bounds, codes, galois, tower
 from lrctower.errors import (
     DistanceNonpositive,
@@ -442,6 +443,195 @@ def test_repair_of_any_word_on_naive_codes_is_minus_the_group_sum(source, r):
             if j != idx:
                 total = total + _as_elem(code.field, word[j])
         assert codes.local_repair(code, word, idx) == -total
+
+
+# -- encode and repair tables against the oracles and the earlier input contract --
+
+@pytest.mark.parametrize("p,w", [(2, 1), (2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (2, 8)])
+def test_encode_equals_the_lane_oracle_and_the_element_sum(p, w):
+    f = F(p, w)
+    rng = random.Random(f"encode-oracle:{p}:{w}")
+    shapes = [(1, 0), (5, 0), (3, 1), (9, 4), (30, 12)]
+    if (p, w) == (7, 2):
+        shapes.append((50, 45))  # chunks of 41 terms: the digit lanes reduce partway
+    for n, k in shapes:
+        code = _systematic_code(rng, f, n, k)
+        messages = [[0] * k, [f.q - 1] * k] + [[rng.randrange(f.q) for _ in range(k)]
+                                               for _ in range(4)]
+        for msg in messages:
+            word = codes.encode(code, msg)
+            assert tuple(x.index for x in word) == encode_oracle.lane_encode(code, msg)
+            want = [f.zero()] * n
+            for m, row in zip(msg, code.generator):
+                want = [acc + f.from_index(m) * g for acc, g in zip(want, row)]
+            assert word == tuple(want)
+            assert type(word) is tuple and all(type(x) is galois.FieldElement for x in word)
+            assert all(x.field is f for x in word)
+
+
+def test_encode_and_repair_read_every_container_by_value():
+    import numpy as np
+    from array import array
+    code = codes.build_rational_lrc(F(3, 2), 1, 1, 1)  # [6, 4] over GF(9)
+    msg = [1, 5, 0, 8]
+    want = codes.encode(code, msg)
+    # an array's raw buffer is not its values: bytes(array("i", msg)) has 16 bytes
+    containers = [list, tuple, lambda xs: np.array(xs, dtype=np.int64),
+                  lambda xs: array("i", xs)]
+    for conv in containers + [bytes, lambda xs: [np.int64(x) for x in xs],
+                              lambda xs: [bool(x) if x < 2 else x for x in xs]]:
+        assert codes.encode(code, conv(msg)) == want
+    idx = code.repair_groups[1][0]
+    ints = [x.index for x in want]
+    ints[idx] = 0  # the erased entry is never read
+    elements = list(want)
+    elements[idx] = None
+    for conv in containers:
+        code._plans.clear()
+        assert codes.local_repair(code, conv(ints), idx) == want[idx]  # plans the repair
+        assert codes.local_repair(code, conv(ints), idx) == want[idx]  # reads the plan
+        assert codes.local_repair(code, elements, idx) == want[idx]
+
+
+BAD_SYMBOLS = {
+    "int q": (lambda: 9, "index 9 outside [0, 9)"),
+    "int 255": (lambda: 255, "index 255 outside [0, 9)"),
+    "int 256": (lambda: 256, "index 256 outside [0, 9)"),
+    "int 300": (lambda: 300, "index 300 outside [0, 9)"),
+    "negative": (lambda: -1, "index -1 outside [0, 9)"),
+    "numpy q": (lambda: __import__("numpy").int64(9), "index 9 outside [0, 9)"),
+    "float": (lambda: 2.0, "symbol 2.0 is neither an index nor an element"),
+    "string": (lambda: "x", "symbol 'x' is neither an index nor an element"),
+    "bytes": (lambda: b"\x01", "symbol b'\\x01' is neither an index nor an element"),
+    "GF(3)": (lambda: F(3, 1).one(),
+              "an entry is not an element of FieldSpec(GF(3^2), modulus=[1, 0, 1])"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SYMBOLS)
+def test_bad_symbols_raise_the_same_error_on_every_path(name):
+    make, message = BAD_SYMBOLS[name]
+    bad = make()
+    code = codes.build_rational_lrc(F(3, 2), 1, 1, 1)
+    word = codes.encode(code, [1, 5, 0, 8])
+    idx, mate = code.repair_groups[0][:2]
+    for msg in ([bad, 0, 0, 0], (0, 0, 0, bad)):
+        with pytest.raises(SpecMismatch) as exc:
+            codes.encode(code, msg)
+        assert str(exc.value) == message
+    for plan_kept in (False, True):
+        if plan_kept:
+            elements = list(word)
+            elements[idx] = None
+            codes.local_repair(code, elements, idx)
+        for symbols in ([x.index for x in word], list(word)):
+            symbols[idx], symbols[mate] = None, bad
+            with pytest.raises(SpecMismatch) as exc:
+                codes.local_repair(code, symbols, idx)
+            assert str(exc.value) == message
+        assert bool(code._plans) == plan_kept
+
+
+def test_repair_with_a_kept_plan_keeps_every_check():
+    f9 = F(3, 2)
+    code = codes.build_rational_lrc(f9, 1, 1, 1)
+    word = list(codes.encode(code, [2, 7, 1, 3]))
+    g = code.repair_groups[0]
+    erased, word[g[0]] = word[g[0]], None
+    assert codes.local_repair(code, word, g[0]) == erased  # the plan is kept now
+    assert set(code._plans) == {g[0]}
+    second = list(word)
+    second[g[1]] = None
+    for _ in range(2):
+        with pytest.raises(NotRepairable) as exc:
+            codes.local_repair(code, second, g[0])
+        assert str(exc.value) == f"group of {g[0]} has further erasures at [{g[1]}]"
+    # elements of an equal field built apart, and of another field
+    twin = galois.FieldSpec(f9.p, f9.w, f9.modulus)
+    assert twin is not f9 and twin == f9
+    foreign = [None if x is None else galois.FieldElement(twin, x.index) for x in word]
+    assert codes.local_repair(code, foreign, g[0]) == erased
+    other = [None if x is None else galois.FieldElement(F(2, 4), x.index) for x in word]
+    with pytest.raises(SpecMismatch) as exc:
+        codes.local_repair(code, other, g[0])
+    assert str(exc.value) == f"an entry is not an element of {f9!r}"
+
+
+def test_failed_weights_are_computed_again_and_never_kept():
+    base = codes.build_rational_lrc(F(3, 2), 1, 1, 1)
+    g = base.repair_groups[0]
+    ys = list(base.y_values)
+    ys[g[1]] = ys[g[2]]
+    repeated = codes.LinearCode(field=base.field, n=base.n, k=base.k,
+                                generator=base.generator, repair_groups=base.repair_groups,
+                                y_values=tuple(ys), meta=base.meta)
+    bare = codes.LinearCode(field=base.field, n=base.n, k=base.k, generator=base.generator,
+                            repair_groups=base.repair_groups)
+    word = list(codes.encode(base, [1, 2, 0, 1]))
+    word[g[0]] = None
+    for code, error in ((repeated, DivideByZero), (bare, NoGroups)):
+        for _ in range(3):
+            with pytest.raises(error):
+                codes.local_repair(code, word, g[0])
+        assert code._plans == {}
+
+
+def test_repair_errors_come_in_order_group_erasures_symbols_weights():
+    base = codes.build_rational_lrc(F(3, 2), 1, 1, 1)
+    g = base.repair_groups[0]
+    ys = list(base.y_values)
+    ys[g[1]] = ys[g[2]]
+    repeated = codes.LinearCode(field=base.field, n=base.n, k=base.k,
+                                generator=base.generator, repair_groups=base.repair_groups,
+                                y_values=tuple(ys), meta=base.meta)
+    bare = codes.LinearCode(field=base.field, n=base.n, k=base.k, generator=base.generator,
+                            repair_groups=base.repair_groups)
+    for code in (repeated, bare):
+        weights = DivideByZero if code is repeated else NoGroups
+        word = [x.index for x in codes.encode(base, [1, 2, 0, 1])]
+        erasures = list(word)
+        erasures[g[0]] = erasures[g[1]] = None
+        erasures[g[2]] = 2.5
+        with pytest.raises(NoGroups, match=f"^coordinate {base.n} not in any group$"):
+            codes.local_repair(code, erasures, base.n)
+        with pytest.raises(NotRepairable):
+            codes.local_repair(code, erasures, g[0])
+        bad = list(word)
+        bad[g[0]], bad[g[2]] = None, 2.5
+        with pytest.raises(SpecMismatch):
+            codes.local_repair(code, bad, g[0])
+        clean = list(word)
+        clean[g[0]] = None
+        with pytest.raises(weights):
+            codes.local_repair(code, clean, g[0])
+
+
+def test_repair_beyond_byte_fields_reads_indices_and_elements_alike():
+    # q > 256 and p > 127 keep their weights as logs for `_dot`
+    rational = codes.build_rational_lrc(F(2, 10), 1, 2, 0)
+    rng = random.Random("wide-repair")
+    gen = [[int(i == j) for j in range(6)] + [rng.randrange(131) for _ in range(6)]
+           for i in range(6)]
+    naive = codes.naive_lrc(codes.LinearCode._of_indices(F(131, 1), 12, 6, gen), 2)
+    for code in (rational, naive):
+        for _ in range(20):
+            msg = [rng.randrange(code.field.q) for _ in range(code.k)]
+            word = list(codes.encode(code, msg))
+            idx = rng.randrange(code.n)
+            erased, word[idx] = word[idx], None
+            ints = [0 if x is None else x.index for x in word]
+            assert codes.local_repair(code, word, idx) == erased
+            assert codes.local_repair(code, ints, idx) == erased
+
+
+def test_encode_table_is_built_once_per_code():
+    code = codes.build_rational_lrc(F(2, 4), 1, 2, 1)
+    assert code._encode_table is None
+    codes.encode(code, [0] * code.k)
+    table = code._encode_table
+    assert len(table) == code.k and all(len(row) == code.field.q for row in table)
+    codes.encode(code, [1] * code.k)
+    assert code._encode_table is table
 
 
 # -- minimum distance -----------------------------------------------------------------

@@ -201,6 +201,20 @@ def test_mixed_field_operands_rejected():
         a + b
 
 
+def test_elements_of_equal_fields_built_apart_compare_equal():
+    f9 = galois.field_create(3, 2)
+    twin = galois.FieldSpec(f9.p, f9.w, f9.modulus)  # not the cached object
+    assert twin is not f9 and twin == f9 and hash(twin) == hash(f9)
+    for i in range(f9.q):
+        a, b = galois.FieldElement(f9, i), galois.FieldElement(twin, i)
+        assert a == b and b == a and hash(a) == hash(b)
+        assert a != galois.FieldElement(twin, (i + 1) % f9.q)
+    other = galois.FieldSpec(3, 2, (2, 2, 1))  # another modulus: another field
+    assert galois.FieldElement(f9, 1) != galois.FieldElement(other, 1)
+    assert galois.FieldElement(f9, 1) != galois.field_create(3, 1).one()
+    assert galois.FieldElement(f9, 1) != 1
+
+
 def test_field_arith_dispatch():
     f9 = galois.field_create(3, 2)
     x = f9.from_index(5)

@@ -329,6 +329,38 @@ def test_orbit_partition_matches_element_level_reference(p, w, m):
         assert tower.orbit_partition(group, places) == _reference_orbits(group, places)
 
 
+@pytest.mark.parametrize("p,w", [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (3, 4),
+                                 (2, 8), (2, 10)])
+def test_every_built_subgroup_acts_on_the_tower(p, w):
+    spec = F(p, w)
+    params = list(_subgroup_params(spec))
+    assert (1, 0) in params
+    for u, v in params:
+        assert tower._pair_failure(spec, tower.build_subgroup(spec, u, v).pairs) is None
+
+
+def test_orbit_partition_names_a_pair_that_is_not_a_tower_automorphism():
+    # closed groups of affine pairs that AutSubgroup certifies, but that do
+    # not map places to places
+    f16 = F(2, 4)
+    exp = f16._logs[0]
+    scalings = tower.AutSubgroup(f16, 5, 0, [(exp[3 * k], 0) for k in range(5)])
+    first = min(exp[3 * k] for k in range(1, 5))
+    with pytest.raises(InvariantViolation,
+                       match=rf"^pair \({first}, 0\) is not a tower automorphism: "
+                             r"c lies outside F_4\^\*$"):
+        tower.orbit_partition(scalings, tower.enumerate_places(f16, 1))
+    f9 = F(3, 2)
+    trace = tower._maps(f9)[0]
+    a0 = next(a for a in range(1, f9.q) if trace[a])
+    shifts = tower.AutSubgroup(f9, 2, 0, [(1, 0), (f9.p - 1, a0)])  # a -> -a + a0
+    for m in (1, 2):
+        with pytest.raises(InvariantViolation,
+                           match=rf"^pair \({f9.p - 1}, {a0}\) is not a tower automorphism: "
+                                 "a lies outside the additive kernel$"):
+            tower.orbit_partition(shifts, tower.enumerate_places(f9, m))
+
+
 @pytest.mark.parametrize("p,w,u,v", [(2, 2, 1, 1), (3, 2, 2, 1), (2, 4, 3, 2), (5, 2, 4, 1),
                                      (2, 6, 7, 3)])
 def test_subgroup_rejects_a_dropped_or_altered_pair(p, w, u, v):
