@@ -44,10 +44,17 @@ minimum distance by an exact scan over all q^k codewords, and one-erasure
 repair by Lagrange interpolation round trips.  The two exhaustive checks
 read one blocked scan of codeword supports, `_nonzero_blocks`, in pure
 Python over byte lanes (one 0/1 byte per codeword in an int per
-coordinate).  Only `all_codewords`, the tests' enumeration oracle, loads
-numpy (through `FieldSpec.tables`; the `test` extra installs it); `tower`
-loads with `build_rational_lrc`, so repair and verification run without
-it.
+coordinate).  `tower` loads with `build_rational_lrc`, so repair and
+verification run without it.
+
+Elimination (`_rref`: the rank check of every code built or loaded, the
+null spaces of `naive_lrc` and the algebraic locality check) runs on the
+same byte tables for q <= 256 and p <= 127: a row is its index bytes
+(p = 2) or its digit lanes (odd p), and a row step is one translate and
+an XOR, or a translate per lane, a sum and the mod-p translate.  Matrices
+narrower than `_lane_cols`, and other fields, are eliminated entry by
+entry over the Zech logs.  No module of the package imports numpy; it
+serves only the tests' oracles (`tests/field_oracle.py`).
 """
 
 from __future__ import annotations
@@ -117,9 +124,100 @@ def poly_eval(poly: Poly, x: Element) -> Element:
 
 # -- exact linear algebra over a FieldSpec -------------------------------------
 
-def _rref(f: galois.FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form (on a copy) and pivot columns of a matrix of
-    canonical indices, by Gauss-Jordan over the field's exp/log/Zech lists."""
+def _lane_cols(f: galois.FieldSpec) -> int:
+    """The narrowest matrix `_rref` eliminates on byte rows: 8 columns for
+    p = 2, and 16 + 8w for odd p, whose row steps cost a translate per
+    digit lane.  Narrower ones are faster on the Zech logs (measured on
+    random matrices of n/2 to 2n rows over GF(2^4) to GF(13^2))."""
+    return 8 if f.p == 2 else 16 + 8 * f.w
+
+
+def _rref(f: galois.FieldSpec, rows, reduced: bool = True) -> tuple[list[list[int]], list[int]]:
+    """(rows, pivots) of a matrix of canonical indices, on a copy: its
+    reduced row echelon form and pivot columns, the zero rows last.  With
+    reduced=False each pivot clears only the rows below it, which leaves
+    an echelon form with the same pivots: enough for a rank.
+
+    For q <= 256 and p <= 127 a matrix of at least `_lane_cols` columns
+    is eliminated on byte rows, a few translates per row step
+    (`_rref_lanes`); others entry by entry over the Zech logs."""
+    if rows and _bytewise(f) and len(rows[0]) >= _lane_cols(f):
+        return _rref_lanes(f, rows, reduced)
+    return _rref_logs(f, rows, reduced)
+
+
+def _rref_lanes(f: galois.FieldSpec, rows, reduced: bool) -> tuple[list[list[int]], list[int]]:
+    """`_rref` on byte rows, for q <= 256 and p <= 127.
+
+    For p = 2 a row is its n index bytes, c x is one translate by mul[c]
+    and a sum is the XOR of the rows' ints.  For odd p a row is its w
+    digit lanes of n bytes (lane t the digits t of its entries), c x is
+    the w translates by digit[t][c], and a sum is the plain sum of the
+    lane ints reduced mod p by one translate; a pivot row is read back to
+    index bytes, sum_t lane_t p^t, to be scaled.  Each pivot row is scaled
+    by the inverse of its pivot, then -c times it is added to each other
+    row (each row below it, without reduced) with c at its column."""
+    p, w, m, n = f.p, f.w, len(rows), len(rows[0])
+    exp, log, _ = f._logs
+    mul = f._byte_tables[1]
+    neg, order = mul[p - 1], f.q - 1
+    rows = [bytes(row) for row in rows]
+    if p > 2:
+        digit, mod_p = f._digit_tables
+        scale = list(zip(*digit))  # scale[c]: the w digit tables of c x
+        size = w * n
+        tops = range(size - n, -1, -n)  # lane starts, the top digit first
+        rows = [b"".join(map(row.translate, scale[1])) for row in rows]
+
+        def index_bytes(lanes: bytes) -> bytes:  # no digit sum carries a byte
+            acc = 0
+            for start in tops:
+                acc = acc * p + int.from_bytes(lanes[start:start + n], "little")
+            return acc.to_bytes(n, "little")
+
+    pivots: list[int] = []
+    for col in range(n):
+        rank = len(pivots)
+        if p == 2:
+            at = bytearray(map(itemgetter(col), rows))
+        else:  # the index at col of each row, from its digits there
+            acc = 0
+            for start in tops:
+                acc = acc * p + int.from_bytes(bytes(map(itemgetter(start + col), rows)), "little")
+            at = bytearray(acc.to_bytes(m, "little"))
+        pick = next((i for i in range(rank, m) if at[i]), None)
+        if pick is None:
+            continue
+        rows[rank], rows[pick] = rows[pick], rows[rank]
+        at[rank], at[pick] = at[pick], at[rank]
+        prow = rows[rank] if p == 2 else index_bytes(rows[rank])
+        prow = prow.translate(mul[exp[order - log[at[rank]]]])  # times the pivot's inverse
+        if p == 2:
+            rows[rank] = prow
+            for i in range(0 if reduced else rank + 1, m):  # -c = c
+                if at[i] and i != rank:
+                    rows[i] = (int.from_bytes(rows[i], "little") ^ int.from_bytes(
+                        prow.translate(mul[at[i]]), "little")).to_bytes(n, "little")
+        else:
+            rows[rank] = b"".join(map(prow.translate, scale[1]))
+            steps = {}  # c -> the lanes of -c prow, as an int
+            for i in range(0 if reduced else rank + 1, m):
+                c = at[i]
+                if c and i != rank:
+                    step = steps.get(c)
+                    if step is None:
+                        step = steps[c] = int.from_bytes(
+                            b"".join(map(prow.translate, scale[neg[c]])), "little")
+                    rows[i] = (int.from_bytes(rows[i], "little") + step
+                               ).to_bytes(size, "little").translate(mod_p)
+        pivots.append(col)
+        if len(pivots) == m:
+            break
+    return [list(row if p == 2 else index_bytes(row)) for row in rows], pivots
+
+
+def _rref_logs(f: galois.FieldSpec, rows, reduced: bool) -> tuple[list[list[int]], list[int]]:
+    """`_rref` entry by entry, over the field's exp/log/Zech lists."""
     rows = [list(row) for row in rows]
     exp, log, zech = f._logs
     m = f.q - 1
@@ -134,7 +232,8 @@ def _rref(f: galois.FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], 
         shift = m - log[rows[rank][col]]  # times the pivot's inverse
         prow = rows[rank] = [exp[log[c] + shift] if c else 0 for c in rows[rank]]
         support = [(j, log[c]) for j, c in enumerate(prow) if c]
-        for i, row in enumerate(rows):
+        for i in range(0 if reduced else rank + 1, len(rows)):
+            row = rows[i]
             if i == rank or not row[col]:
                 continue
             lf = (log[row[col]] + neg) % m  # log of -row[col]
@@ -215,7 +314,7 @@ def matrix_rank(rows) -> int:
     if not rows or not rows[0]:
         return 0
     f = rows[0][0].field
-    return len(_rref(f, [_indices(f, r) for r in rows])[1])
+    return len(_rref(f, [_indices(f, r) for r in rows], reduced=False)[1])
 
 
 def null_space(f: galois.FieldSpec, rows) -> list[list[Element]]:
@@ -272,7 +371,7 @@ class LinearCode:
         self._encode_table: list[list[int]] | None = None  # built on the first encode
         self._plans: dict[int, tuple] = {}  # coordinate -> `_repair_plan`, on its first repair
         self._group: dict[int, tuple[int, ...]] = {}  # coordinate -> its repair group
-        if len(_rref(field, self._rows)[1]) != k:
+        if len(_rref(field, self._rows, reduced=False)[1]) != k:
             raise RankDeficiency(f"generator rank below k = {k}")
         if repair_groups is not None:
             covered = sorted(i for g in repair_groups for i in g)
@@ -554,15 +653,20 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
                 acc = add[acc][table[x.index]]
             else:
                 return f._elements[acc]
-        except AttributeError:  # an integer symbol or an erasure
+        except (AttributeError, LookupError):  # an integer symbol, an erasure or none
             pass
-    # in order: the group, further erasures, the symbols, then the weights
+    # in order: the group, the mates' symbols, further erasures, the
+    # symbols' values, then the weights
     group = code.group_of(idx)
     others = [j for j in group if j != idx]
-    missing = [j for j in others if word[j] is None]
+    try:
+        mates = [word[j] for j in others]
+    except LookupError as exc:  # a short list, a dict without a mate's key
+        raise LengthMismatch(f"word has no symbol at a mate of {idx}: {exc!r}") from None
+    missing = [j for j, x in zip(others, mates) if x is None]
     if missing:
         raise NotRepairable(f"group of {idx} has further erasures at {missing}")
-    xs = _symbols(f, [word[j] for j in others])
+    xs = _symbols(f, mates)
     if plan is None:
         plan = code._plans[idx] = _repair_plan(code, idx, others)
     weights = plan[1]
@@ -574,23 +678,16 @@ def local_repair(code: LinearCode, word, idx: int) -> Element:
     return f._elements[acc]
 
 
-def all_codewords(code: LinearCode, limit: int = 1 << 18):
-    """All q^k codewords as a (q^k, n) numpy array of element indices, in
-    mixed-radix message order: row 0 is the zero word, the last message
-    digit fastest.  The tests' oracle for the scans, over `tables()`; needs
-    numpy, which only the `test` extra installs."""
-    import numpy as np
-
+def all_codewords(code: LinearCode, limit: int = 1 << 18) -> list[tuple[int, ...]]:
+    """All q^k codewords as tuples of n element indices, in mixed-radix
+    message order: word 0 is the zero word, the last message digit
+    fastest.  These are the words of `_span_words`, which the scans
+    read; TooLarge when q^k > limit."""
     f, n = code.field, code.n
     total = f.q**code.k
     if total > limit:
         raise TooLarge(f"q^k = {total} exceeds limit {limit}")
-    add, mul, _ = f.tables()
-    words = np.zeros((1, n), dtype=np.int32)
-    for row in reversed(code._rows):
-        scal = mul[np.arange(f.q)[:, None], np.array(row, dtype=np.int32)[None, :]]
-        words = add[scal[:, None, :], words[None, :, :]].reshape(-1, n)
-    return words
+    return list(map(tuple, _span_words(f, code._rows, n)))
 
 
 def _columns(f: galois.FieldSpec, rows, n: int) -> list[bytes]:

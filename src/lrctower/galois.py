@@ -100,7 +100,6 @@ class FieldSpec:
         self.q = p**w
         self.modulus = modulus
         self.ell = p ** (w // 2) if w % 2 == 0 else None
-        self._tables = None
 
     @cached_property
     def _logs(self) -> tuple[list[int], list[int], list[int]]:
@@ -176,30 +175,19 @@ class FieldSpec:
         for i in range(self.q):
             yield FieldElement(self, i)
 
-    # -- lazy lookup tables: numpy for `codes.all_codewords`, bytes for scans and encode
+    # -- lookup tables: bytes, for the scans, encode, repair and elimination
 
-    def tables(self):
-        """(add, mul, inv) numpy index tables over the exp/log/Zech lists that
-        the scalar ops use; built lazily, q <= 4096 only.  Needs numpy, which
-        only the `test` extra installs."""
-        if self._tables is None:
-            if self.q > 4096:
-                raise TooLarge(f"lookup tables limited to q <= 4096, got q={self.q}")
-            import numpy as np
-
-            exp, log, zech = (np.array(t, dtype=np.int32) for t in self._logs)
-            q = self.q
-            lg = log[1:, None]  # logs of the nonzero elements, as a column
-            add = np.empty((q, q), dtype=np.int32)
-            add[0] = add[:, 0] = np.arange(q)
-            z = zech[(lg.T - lg) % (q - 1)]
-            add[1:, 1:] = np.where(z < 0, 0, exp[lg + z])
-            mul = np.zeros((q, q), dtype=np.int32)
-            mul[1:, 1:] = exp[lg + lg.T]
-            inv = np.zeros(q, dtype=np.int32)
-            inv[1:] = exp[q - 1 - log[1:]]
-            self._tables = add, mul, inv
-        return self._tables
+    def tables(self) -> tuple[list[bytes], list[bytes], bytes]:
+        """(add, mul, inv) index tables for q <= 256, read off `_byte_tables`:
+        add[a][b] and mul[a][b] are the indices of a + b and a b, inv[a]
+        that of 1/a (inv[0] = 0).  TooLarge above q = 256."""
+        q = self.q
+        if q > 256:
+            raise TooLarge(f"lookup tables limited to q <= 256, got q={q}")
+        add, mul, _ = self._byte_tables
+        exp, log, _ = self._logs
+        inv = bytes([0] + [exp[q - 1 - log[a]] for a in range(1, q)])
+        return [t[:q] for t in add], [t[:q] for t in mul], inv
 
     @cached_property
     def _byte_tables(self) -> tuple[list[bytes], list[bytes], list[bytes]]:

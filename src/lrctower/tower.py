@@ -138,7 +138,10 @@ class AutSubgroup:
 def _maps(spec: galois.FieldSpec) -> tuple[list[int], list[int]]:
     """(trace, step) over canonical indices, built once per field:
     trace[x] = x^ell + x, the trace to F_ell, and step[x] =
-    x^ell / (x^(ell-1) + 1), or -1 where the denominator is 0."""
+    x^ell / (x^(ell-1) + 1), or -1 where the denominator is 0.
+    NoSquareRoot for odd w, where there is no ell."""
+    if spec.ell is None:
+        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
     exp, log, _ = spec._logs
     add = galois.index_ops(spec)[0]
     ell, m = spec.ell, spec.q - 1

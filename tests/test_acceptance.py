@@ -21,6 +21,7 @@ import pytest
 from lrctower import bounds, codes, galois, tower
 from lrctower.errors import TooLarge
 
+import field_oracle
 from gv_oracle import gv_grid_oracle
 
 
@@ -196,7 +197,7 @@ def test_criterion_06_orbit_property_suite():
 
 
 def _exhaustive_repair_roundtrip(code):
-    words = codes.all_codewords(code)
+    words = field_oracle.all_codewords(code)
     f = code.field
     for row in words:
         word = [f.from_index(int(i)) for i in row]

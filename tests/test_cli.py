@@ -289,7 +289,7 @@ def _probe(tmp_path, steps):
 
 
 def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
-    """No CLI command loads numpy (only `all_codewords` and `tables()` do),
+    """No CLI command loads numpy (no module of the package imports it),
     click or dataclasses, and each loads only the submodules it runs: the bounds
     commands none of codes, galois and tower (those that solve GV `_s0band`,
     which then stays loaded), the tower commands no codes, and `code repair`
@@ -317,6 +317,56 @@ def test_numpy_is_loaded_only_by_exhaustive_scans(tmp_path):
         ["code", "verify", "c.json", "--distance", "--locality"],
     ]) == [f"import False False False {bare}", f"code repair False False False {code}",
            f"code verify False False False {code}"]
+
+
+def test_no_module_of_the_package_imports_numpy():
+    import ast
+    import pathlib
+
+    modules = sorted(pathlib.Path(lrctower.__file__).parent.glob("*.py"))
+    assert {m.stem for m in modules} >= {"__init__", "codes", "galois", "tower", "bounds"}
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "numpy"], module.name
+
+
+_NUMPY_FREE_PIPELINE = """
+import sys
+from lrctower import codes, galois
+
+# (p, w), (u, v, s) and the locality of a naive augmentation, or None
+for (p, w), (u, v, s), r in [((3, 2), (1, 1, 1), 2), ((2, 4), (1, 1, 1), 11),
+                             ((2, 8), (1, 1, 0), None)]:
+    f = galois.field_create(p, w)
+    built = codes.build_rational_lrc(f, u, v, s)
+    code = codes.from_json(codes.to_json(built))
+    assert codes.to_json(code) == codes.to_json(built)
+    assert codes.min_distance(code) >= code.meta["d_lower"]
+    assert codes.verify_locality(code).passed
+    if r is not None:
+        assert codes.verify_locality(codes.naive_lrc(code, r)).passed
+    word = list(codes.encode(code, [1] * code.k))
+    erased, word[0] = word[0], None
+    assert codes.local_repair(code, word, 0) == erased
+    add, mul, inv = f.tables()
+    assert mul[2][inv[2]] == 1 and add[1][0] == 1
+print("numpy" in sys.modules)
+"""
+
+
+def test_build_verify_repair_and_tables_never_load_numpy():
+    src = os.path.dirname(os.path.dirname(lrctower.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _NUMPY_FREE_PIPELINE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def test_lazy_submodules_load_on_first_use():

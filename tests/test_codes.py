@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import encode_oracle
+import field_oracle
 from lrctower import bounds, codes, galois, tower
 from lrctower.errors import (
     DistanceNonpositive,
@@ -606,6 +607,24 @@ def test_repair_errors_come_in_order_group_erasures_symbols_weights():
             codes.local_repair(code, clean, g[0])
 
 
+@pytest.mark.parametrize("plan_kept", [False, True], ids=["first repair", "kept plan"])
+@pytest.mark.parametrize("word", [[1, 2], {0: None}, "elements"],
+                         ids=["short list", "dict", "short element list"])
+def test_repair_of_a_word_without_a_mate_is_a_length_mismatch(word, plan_kept):
+    code = codes.build_rational_lrc(F(3, 2), 1, 1, 1)  # GF(9) [6,4], group (0, 1, 2)
+    full = list(codes.encode(code, [1, 5, 0, 8]))
+    if word == "elements":
+        word = full[:2]
+    if plan_kept:
+        erased, full[0] = full[0], None
+        assert codes.local_repair(code, full, 0) == erased
+    assert bool(code._plans) == plan_kept
+    for _ in range(2):
+        with pytest.raises(LengthMismatch, match=r"^word has no symbol at a mate of 0: "
+                                                 r"(IndexError|KeyError)\("):
+            codes.local_repair(code, word, 0)
+
+
 def test_repair_beyond_byte_fields_reads_indices_and_elements_alike():
     # q > 256 and p > 127 keep their weights as logs for `_dot`
     rational = codes.build_rational_lrc(F(2, 10), 1, 2, 0)
@@ -668,7 +687,7 @@ def test_locality_of_a_k0_code_with_repair_groups_holds_everywhere():
     groups = ((0, 1, 2), (3, 4, 5))
     code = codes.LinearCode(field=f9, n=6, k=0, generator=(), repair_groups=groups,
                             meta={"r": 2})
-    words = codes.all_codewords(code)
+    words = field_oracle.all_codewords(code)
     assert words.shape == (1, 6) and not words.any()
     defined = [not any(word[i] and not any(word[j] for j in g if j != i) for word in words)
                for g in groups for i in g]
@@ -994,11 +1013,24 @@ def test_all_codewords_matches_encode():
     for p, w, u, v, s in [(3, 2, 1, 1, 0), (2, 4, 1, 1, 1), (5, 2, 2, 0, 1),
                           (7, 2, 2, 0, 0), (2, 6, 1, 1, 0)]:
         code = codes.build_rational_lrc(F(p, w), u, v, s)
-        words = codes.all_codewords(code)
+        words = field_oracle.all_codewords(code)
         expected = set()
         for msg in itertools.product(range(code.field.q), repeat=code.k):
             expected.add(tuple(sym.index for sym in codes.encode(code, list(msg))))
         assert {tuple(row) for row in words.tolist()} == expected
+
+
+@pytest.mark.parametrize("p,w,n,k", [(3, 2, 6, 0), (2, 1, 5, 3), (3, 2, 6, 2), (2, 4, 4, 2),
+                                     (7, 2, 3, 2), (17, 2, 3, 2)])
+def test_all_codewords_equal_the_numpy_oracle(p, w, n, k):
+    f = F(p, w)
+    code = _random_full_rank_code(random.Random(f"words:{p}:{w}"), f, k, n) if k else (
+        codes.LinearCode(field=f, n=n, k=0, generator=()))
+    words = codes.all_codewords(code)
+    assert words == [tuple(row) for row in field_oracle.all_codewords(code).tolist()]
+    assert len(words) == f.q**k and words[0] == (0,) * n
+    with pytest.raises(TooLarge):
+        codes.all_codewords(code, limit=f.q**k - 1)
 
 
 # -- elimination over canonical indices ---------------------------------------------
@@ -1103,12 +1135,73 @@ def test_verify_locality_algebraic_matches_span_oracle(p, w):
         checked += 1
 
 
+def _index_matrix(rng, f, m, n, rank=None):
+    """m index rows of width n.  Without rank: random rows with zero rows,
+    repeated rows and combinations of earlier rows among them; with rank,
+    random combinations of `rank` random rows."""
+    add, mul = galois.index_ops(f)
+
+    def combination(sources):
+        row = [0] * n
+        for source in sources:
+            c = rng.randrange(f.q)
+            row = [add(x, mul(c, y)) for x, y in zip(row, source)]
+        return row
+
+    if rank is not None:
+        basis = [[rng.randrange(f.q) for _ in range(n)] for _ in range(rank)]
+        return [combination(basis) for _ in range(m)]
+    rows = []
+    for _ in range(m):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * n)
+        elif kind < 0.3 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.45 and rows:
+            rows.append(combination([rng.choice(rows), rng.choice(rows)]))
+        else:
+            rows.append([rng.randrange(f.q) for _ in range(n)])
+    return rows
+
+
+@pytest.mark.parametrize("p,w", [(2, 1), (2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 8)])
+def test_byte_lane_elimination_matches_the_zech_kernel(p, w):
+    """`_rref` and its byte-lane kernel give the (rows, pivots) of the Zech
+    kernel they replace, at every width to 40 and on both sides of the
+    lane threshold, and the forward-only form has the same pivots."""
+    f = F(p, w)
+    rng = random.Random(f"lanes:{p}:{w}")
+    cut = codes._lane_cols(f)
+    widths = sorted(set(range(1, 41)) | {cut - 1, cut, cut + 1, 47, 56, 64, 100, 128, 240,
+                                           255, 256, 257, 300})
+    shapes = collections.Counter()
+    for n in widths:
+        m = rng.randint(0, min(n + 3, 16))
+        for rank in (None, rng.randint(0, min(m, n))):
+            rows = _index_matrix(rng, f, m, n, rank)
+            want = field_oracle.zech_rref(f, rows)
+            assert codes._rref(f, rows) == want
+            pivots = want[1]
+            echelon, forward = codes._rref(f, rows, reduced=False)
+            assert forward == pivots
+            for i, row in enumerate(echelon):
+                lead = pivots[i] if i < len(pivots) else n
+                assert not any(row[:lead]) and (i >= len(pivots) or row[lead] == 1)
+            if rows:
+                assert codes._rref_lanes(f, rows, True) == want
+                assert codes._rref_lanes(f, rows, False)[1] == pivots
+            shapes.update({"lanes" if n >= cut else "logs": 1,
+                           "deficient": len(pivots) < min(m, n), "zero rows": [0] * n in rows})
+    assert shapes["lanes"] and shapes["logs"] and shapes["deficient"] and shapes["zero rows"]
+
+
 # -- the support-mask scan ---------------------------------------------------------------
 
 def _projection_oracle(code):
-    """The definition of exhaustive locality, over `all_codewords`: at each i,
+    """The definition of exhaustive locality, over the oracle's codewords: at each i,
     the projection onto the group mates determines the symbol."""
-    words = codes.all_codewords(code).tolist()
+    words = field_oracle.all_codewords(code).tolist()
     result = []
     for i in range(code.n):
         mates = [j for j in code.group_of(i) if j != i]
@@ -1181,7 +1274,7 @@ def test_nonzero_blocks_are_the_supports_of_all_codewords(p, w, n, k):
     f = F(p, w)
     code = _random_full_rank_code(random.Random(f"blocks:{p}:{w}:{n}:{k}"), f, k, n)
     masks, _ = _lane_masks(code)
-    words = codes.all_codewords(code)
+    words = field_oracle.all_codewords(code)
     assert (masks == (words != 0)).all()  # same words, same order
     assert codes.min_distance(code) == int((words[1:] != 0).sum(1).min())
 
@@ -1207,7 +1300,7 @@ def test_scan_beyond_byte_symbols_and_byte_counts(p, w, n, k):
         gen[0] = [f.one()] * n
     code = codes.LinearCode(field=f, n=n, k=k, generator=tuple(map(tuple, gen)))
     masks, nblocks = _lane_masks(code)
-    words = codes.all_codewords(code)
+    words = field_oracle.all_codewords(code)
     assert nblocks == f.q ** (k - 1) if f.q > 256 else nblocks > 1
     assert (masks == (words != 0)).all()
     d = codes.min_distance(code)
@@ -1234,7 +1327,7 @@ def test_scan_with_small_blocks_matches(monkeypatch, bound, p, w, n, k):
     rng = random.Random(f"small:{p}:{w}:{n}:{k}")
     code = _random_groups(rng, _random_full_rank_code(rng, f, k, n))
     expected = _projection_oracle(code)
-    words = codes.all_codewords(code)
+    words = field_oracle.all_codewords(code)
     monkeypatch.setattr(codes, "_BLOCK_BYTES", bound)
     sizes = []
     columns = codes._columns

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import field_oracle
 from lrctower import galois
 from lrctower.errors import (
     DivideByZero,
@@ -373,10 +374,30 @@ def test_kernel_matches_polynomial_oracle_on_every_pair(p, w):
             assert (a * b).coeffs == _schoolbook(f, ca, cb)
             assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(ca, cb))
             assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(ca, cb))
-            assert mul[a.index, b.index] == (a * b).index
-            assert add[a.index, b.index] == (a + b).index
+            assert mul[a.index][b.index] == (a * b).index
+            assert add[a.index][b.index] == (a + b).index
         if not a.is_zero():
             assert inv[a.index] == a.inverse().index
+
+
+def test_tables_equal_the_numpy_oracle_on_every_field_to_256():
+    fields = [(p, w) for p in range(2, 257) if galois._is_prime(p)
+              for w in range(1, 9) if p**w <= 256]
+    assert len(fields) == 70
+    for p, w in fields:
+        f = galois.field_create(p, w)
+        add, mul, inv = f.tables()
+        oadd, omul, oinv = field_oracle.tables(f)
+        assert [list(row) for row in add] == oadd.tolist(), (p, w)
+        assert [list(row) for row in mul] == omul.tolist(), (p, w)
+        assert list(inv) == oinv.tolist(), (p, w)
+
+
+@pytest.mark.parametrize("p,w", [(257, 1), (17, 2), (2, 9), (3, 6)])
+def test_tables_above_256_are_a_one_line_too_large(p, w):
+    with pytest.raises(TooLarge) as exc:
+        galois.field_create(p, w).tables()
+    assert str(exc.value) == f"lookup tables limited to q <= 256, got q={p**w}"
 
 
 @pytest.mark.parametrize("data,error", [

@@ -339,6 +339,18 @@ def test_every_built_subgroup_acts_on_the_tower(p, w):
         assert tower._pair_failure(spec, tower.build_subgroup(spec, u, v).pairs) is None
 
 
+def test_orbit_partition_over_an_odd_degree_field_is_no_square_root():
+    # a group AutSubgroup certifies over GF(8), which has no ell: the same
+    # error as enumerate_places, for any place list
+    f8 = F(2, 3)
+    group = tower.AutSubgroup(f8, 1, 0, [(1, 0)])
+    for places in ([], [tower.TowerPlace(1, (f8.one(),))]):
+        with pytest.raises(NoSquareRoot, match=r"^GF\(2\^3\) has odd degree$"):
+            tower.orbit_partition(group, places)
+    with pytest.raises(NoSquareRoot, match=r"^GF\(2\^3\) has odd degree$"):
+        tower.enumerate_places(f8, 1)
+
+
 def test_orbit_partition_names_a_pair_that_is_not_a_tower_automorphism():
     # closed groups of affine pairs that AutSubgroup certifies, but that do
     # not map places to places
