@@ -1,13 +1,13 @@
-"""The certified band of the GV solve in `bounds._solve_s0`.
-
-`band` places a Newton estimate of s0 and certifies a band around it; the
-bisection in `bounds._solve_s0` then runs the sign test only at the
-midpoints inside the band.  The soundness argument is `_solve_s0`'s
-docstring.  `bounds` imports this module on its first GV solve, so
-`import lrctower`, which every CLI command pays cold, does not compile it.
+"""The certified band of the GV solve: `band` places a Newton estimate of
+s0 and certifies a band around it.  `bounds._solve_s0` describes the solve
+and gives the soundness argument.  `bounds` imports this module on its
+first GV solve, so `import lrctower`, which every CLI command pays cold,
+does not compile it.
 """
 
 from math import exp, expm1, log, log1p
+
+from .bounds import _gv_sign
 
 
 def band(q, r, delta, qm1, omd, slope, log_qm1, lo, hi):
@@ -76,23 +76,18 @@ def _side(r, delta, qm1, omd, slope, log_qm1, s):
     at every s' in [s/2, s); +1 when it is certified to read "not falling"
     at s and at every s' in (s, 1); 0 when neither is certified.
 
-    The certificate of `bounds._solve_s0`: the sign test's own float
-    operations, then its difference against 2E.  The first two conditions
-    keep every product out of the subnormals and the r-terms growing fast
-    enough.
+    The certificate of `bounds._solve_s0`: the sign test, `_gv_sign`, then
+    its log difference against 2E.  The first two conditions keep every
+    product out of the subnormals and the r-terms growing fast enough.
     """
     if not (omd * s >= 2.0**-1000 and r * qm1 * s >= 2.0**-40):
         return 0
-    a_factor = slope * s - delta
+    diff, a_factor, t1, l2, t3, l4 = _gv_sign(r, delta, qm1, omd, slope,
+                                             log_qm1, s)
     if not a_factor > 0.0:
         return -1 if a_factor < 0.0 else 0
     if not slope * s <= 2.0**50 * a_factor:
         return 0
-    t1 = r * log1p(qm1 * s)
-    l2 = log(a_factor)
-    t3 = r * log1p(-s)
-    l4 = log(delta + omd * s)
-    diff = (t1 + l2) - (log_qm1 + t3 + l4)
     # 2E with 16u >= 12u and 8u >= 3.4u: the slack covers rounding in E
     margin = (2.0**-49 * (abs(t1) + abs(l2) + abs(t3) + abs(l4) + log_qm1 + 1.0)
               + 2.0**-50 * slope * s / a_factor)

@@ -16,12 +16,8 @@ very large r never overflow.  h is unimodal on (0, 1], so its minimum sits
 at the one critical point s0, or at s = 1 when h decreases throughout:
 `find_s0` locates it by bisection on the sign of h', and the GV bound is
 1 - h(s0).  `find_s0` and `gv_bound` each check (q, r, delta) once before
-the solve, and reject an r whose (r + 1) ln q overflows.  The solve probes
-s = 1 and the low end of its bracket through `gv_derivative_sign`, places a
-Newton estimate of s0, certifies a band around it against an explicit
-rounding-error bound, then bisects on constants hoisted out of its loop with
-that sign test written inline in the same float operations, testing only the
-midpoints inside the band: it returns the float that bisection on
+the solve, and reject an r whose (r + 1) ln q overflows.  `_solve_s0`
+describes the solve and why it returns the float that bisection on
 `gv_derivative_sign` returns.
 """
 
@@ -71,7 +67,10 @@ CurveRow = namedtuple("CurveRow", "delta bound_id value")
 
 
 def _check_q(q: float) -> float:
-    q = float(q)
+    try:
+        q = float(q)
+    except OverflowError:  # an int past float range
+        q = math.inf
     if not 2 <= q < math.inf:
         raise DomainError(f"q must be finite and >= 2, got {q}")
     return q
@@ -268,7 +267,7 @@ def _gv_domain(q: float, r: int, delta: float) -> tuple[float, float]:
     hi = 1.0 - 1.0 / q
     if not 0.0 < delta <= hi + _DOMAIN_SLACK:
         raise DomainError(f"gv needs delta in (0, {hi}], got {delta}")
-    return q, min(delta, hi)
+    return q, hi if hi < delta else delta
 
 
 def gv_bound(q: float, r: int, delta: float) -> float:
@@ -286,28 +285,44 @@ def gv_derivative_sign(q: float, r: int, delta: float, s: float) -> int:
 
     which keeps the leading powers from swamping the sign near s = 1/(q-1)
     (at delta = 1/2 this is the usual derivative display, where the bracket
-    vanishes at that point).  Both terms are compared in the log domain.
-    (q, r, delta) are checked and delta clamped as in `gv_bound`; s must lie
-    in (0, 1].
+    vanishes at that point).  Both terms are compared in the log domain, by
+    `_gv_sign`.  (q, r, delta) are checked and delta clamped as in
+    `gv_bound`; s must lie in (0, 1].
     """
     q, delta = _gv_domain(q, r, delta)
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must be in (0, 1], got {s}")
-    a_factor = (1.0 - delta) * (q - 1.0) * s - delta
-    b_factor = delta + (1.0 - delta) * s  # > 0 throughout (0, 1]
-    log_b = (
-        -math.inf
-        if s >= 1.0
-        else log(q - 1.0) + r * log1p(-s) + log(b_factor)
-    )
-    if a_factor <= 0.0:
-        return -1 if log_b > -math.inf or a_factor < 0.0 else 0
-    log_a = r * log1p((q - 1.0) * s) + log(a_factor)
-    if log_a > log_b:
+    qm1, omd = q - 1.0, 1.0 - delta
+    d = _gv_sign(r, delta, qm1, omd, omd * qm1, log(qm1), s)[0]
+    if d > 0.0:
         return 1
-    if log_a < log_b:
-        return -1
-    return 0
+    return -1 if d < 0.0 else 0
+
+
+def _gv_sign(r, delta, qm1, omd, slope, log_qm1, s):
+    """The sign test of h' at s in (0, 1], on the constants `_solve_s0`
+    hoists: qm1 = q-1, omd = 1-delta, slope = omd*qm1, log_qm1 = log(qm1).
+
+    Returns (d, A, t1, l2, t3, l4): h' has the sign of d, and
+    A = slope*s - delta is the first bracket of the numerator.  Where A > 0
+    and s < 1, d = (t1 + l2) - (log_qm1 + t3 + l4) is the log difference of
+    the numerator's two terms, with t1 = r log1p(qm1 s), l2 = log(A),
+    t3 = r log1p(-s) and l4 = log(delta + omd s).  Elsewhere the terms are
+    None and d carries only the sign: d = A where A < 0 and at s = 1, where
+    the second term vanishes; at A = 0 and s < 1, d = -inf, or 0 where
+    t3 = -inf makes the second term vanish too.  Of those cases only A = 0
+    takes a log, t3.
+    """
+    a = slope * s - delta
+    if a < 0.0 or s >= 1.0:
+        return a, a, None, None, None, None
+    t3 = r * log1p(-s)
+    if a == 0.0:
+        return (-math.inf if t3 > -math.inf else 0.0), a, None, None, None, None
+    t1 = r * log1p(qm1 * s)
+    l2 = log(a)
+    l4 = log(delta + omd * s)
+    return (t1 + l2) - (log_qm1 + t3 + l4), a, t1, l2, t3, l4
 
 
 def s0_window(q: float, r: int) -> tuple[float, float]:
@@ -316,30 +331,27 @@ def s0_window(q: float, r: int) -> tuple[float, float]:
 
     2^-r is taken as 0 from r = 1074 on, where it underflows.
     """
+    _check_r(r)
+    return _s0_window(_check_q(q), r)
+
+
+def _s0_window(q: float, r: int) -> tuple[float, float]:
     left = 1.0 / (q - 1.0)
     return left, min(1.0, left + (2.0 ** (-r) if r < 1074 else 0.0))
 
 
 def find_s0(q: float, r: int, delta: float) -> float:
     """The minimizer of h on (0, 1]: its unique critical point, found by
-    bisection on the sign of h', or 1 when h' < 0 throughout.
-
-    The probes at s = 1 and at the low end of the bracket call
-    `gv_derivative_sign`.  The bisection then runs in three steps, and
-    returns the float that bisection on `gv_derivative_sign` returns, bit
-    for bit (`_solve_s0` gives the argument):
-
-    1. estimate: a Newton solve on v = log a_factor, with
-       s = (delta + e^v) / ((1-delta)(q-1)), places s* near the root;
-    2. certify: the sign test at the two ends of a band around s* must
-       clear an explicit rounding-error bound, with the right sign;
-    3. replay: the bisection loop runs as before, with the sign test written
-       inline on hoisted constants, but a midpoint outside the band takes
-       its side by comparison alone.  When the band does not certify, it is
-       the whole bracket and the loop tests every midpoint.
+    bisection on the sign of h', or 1 when h' < 0 throughout.  Bit for bit
+    the float that bisection on `gv_derivative_sign` returns; `_solve_s0`
+    describes the solve.
 
     For delta = 1/2 the result is checked against the closed `s0_window`
-    whenever that window is at least 4 ulps wide.
+    whenever that window is at least 4 ulps wide.  For a tiny delta the
+    sign test is rounding noise over most of (0, 1], and the result is
+    where that noise first reads h' <= 0: `find_s0(29343889, 1,
+    6.336752280980096e-179)` is 5.7e-23, while h' = 0 near 1.47e-93.
+    `gv_bound` there is unaffected (0.5).
     """
     q, delta = _gv_domain(q, r, delta)
     return _solve_s0(q, r, delta)
@@ -348,13 +360,28 @@ def find_s0(q: float, r: int, delta: float) -> float:
 def _solve_s0(q: float, r: int, delta: float) -> float:
     """`find_s0` on (q, delta) as `_gv_domain` returns them.
 
+    The probes at s = 1 and at each halving of the bracket's low end call
+    `gv_derivative_sign`.  The bisection then runs in three steps:
+
+    1. estimate: `_s0band` places s* near the root by a Newton solve on
+       v = log A, with s = (delta + e^v) / ((1-delta)(q-1));
+    2. certify: at the two ends of a band around s*, the sign test's log
+       difference must clear an explicit rounding-error bound with the
+       right sign (`_s0band._side`); the band widens by 16x at most three
+       times, else it is the whole bracket;
+    3. replay: the bisection loop runs as before, on constants hoisted out
+       of it, but a midpoint outside the band takes its side by comparison
+       alone; one inside runs the sign test, `_gv_sign`.
+
     Why the replay returns the float that bisection on `gv_derivative_sign`
     returns.  Take qm1 = q-1, omd = 1-delta, slope = omd*qm1 and log(qm1)
-    as the floats the loop uses (phi below is exact arithmetic on them), and
-    A = slope*s - delta.  The loop reads h' < 0 at s ("falling") when A < 0,
-    when A = 0 unless r log1p(-s) overflows, and when A > 0 and LA < LB for
-    the float sums LA = t1 + l2 and LB = log(qm1) + t3 + l4 of the terms
-    t1 = r log1p(qm1 s), l2 = log A, t3 = r log1p(-s), l4 = log(delta + omd s).
+    as the floats `_gv_sign` uses (phi below is exact arithmetic on them;
+    a float product associates left, so (1-delta)(q-1)s = slope * s bit for
+    bit), and A = slope*s - delta.  The test reads h' < 0 at s ("falling")
+    when A < 0, when A = 0 unless r log1p(-s) overflows, and when A > 0 and
+    LA < LB for the float sums LA = t1 + l2 and LB = log(qm1) + t3 + l4 of
+    the terms t1 = r log1p(qm1 s), l2 = log A, t3 = r log1p(-s),
+    l4 = log(delta + omd s).
 
     - phi = LA - LB is strictly increasing wherever A > 0: its derivative
       exceeds r qm1 / (1 + qm1 s) > 0, since
@@ -384,7 +411,7 @@ def _solve_s0(q: float, r: int, delta: float) -> float:
     if gv_derivative_sign(q, r, delta, hi) < 0:
         # h decreasing on all of (0, 1]: minimum sits at the right endpoint
         return 1.0
-    left, right = s0_window(q, r)
+    left, right = _s0_window(q, r)
     lo = left
     tries = 0
     while gv_derivative_sign(q, r, delta, lo) > 0:
@@ -392,8 +419,6 @@ def _solve_s0(q: float, r: int, delta: float) -> float:
         tries += 1
         if tries > 1100:
             raise ConvergenceFailure("could not bracket a sign change of h'")
-    # gv_derivative_sign(q, r, delta, mid) < 0, written out: a float
-    # product associates left, so (1-delta)(q-1)s = slope * s bit for bit
     qm1 = q - 1.0
     omd = 1.0 - delta
     slope = omd * qm1
@@ -411,18 +436,10 @@ def _solve_s0(q: float, r: int, delta: float) -> float:
             lo = mid
         elif mid > band_hi:
             hi = mid
+        elif _gv_sign(r, delta, qm1, omd, slope, log_qm1, mid)[0] < 0.0:
+            lo = mid
         else:
-            a_factor = slope * mid - delta
-            if a_factor > 0.0:
-                falling = (r * log1p(qm1 * mid) + log(a_factor)
-                           < log_qm1 + r * log1p(-mid) + log(delta + omd * mid))
-            else:
-                # log_b > -inf, which fails only where r * log1p(-mid) overflows
-                falling = a_factor < 0.0 or r * log1p(-mid) > -math.inf
-            if falling:
-                lo = mid
-            else:
-                hi = mid
+            hi = mid
     s0 = 0.5 * (lo + hi)
     # a closed test: bisection may round s0 onto an end of a narrow window
     resolvable = right - left >= 4.0 * math.ulp(left)
@@ -445,11 +462,12 @@ def evaluate(bound_id: str, q: float, r: int, delta: float) -> float:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    n = int(q)
-    if n < 2:
-        raise DomainError(f"q = {q} is not a prime power")
-    if n > SIZE_GUARD:  # bounds the trial division; no GF(q) is built above it
+    # the guard bounds the trial division; no GF(q) is built above it
+    if SIZE_GUARD < q < math.inf:
         raise TooLarge(f"q = {q} exceeds the field-size guard {SIZE_GUARD}")
+    n = int(_check_q(q))
+    if n != q:
+        raise DomainError(f"q = {q} is not an integer")
     p = 2
     while p * p <= n:
         if n % p == 0:

@@ -134,17 +134,22 @@ class AutSubgroup:
         return self.order
 
 
+def _ell(spec: galois.FieldSpec) -> int:
+    """ell = sqrt(q); NoSquareRoot for odd w, where there is none."""
+    if spec.ell is None:
+        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
+    return spec.ell
+
+
 @cache
 def _maps(spec: galois.FieldSpec) -> tuple[list[int], list[int]]:
     """(trace, step) over canonical indices, built once per field:
     trace[x] = x^ell + x, the trace to F_ell, and step[x] =
     x^ell / (x^(ell-1) + 1), or -1 where the denominator is 0.
     NoSquareRoot for odd w, where there is no ell."""
-    if spec.ell is None:
-        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
+    ell, m = _ell(spec), spec.q - 1
     exp, log, _ = spec._logs
     add = galois.index_ops(spec)[0]
-    ell, m = spec.ell, spec.q - 1
     trace, step = [0], [0]
     for x in range(1, spec.q):
         lx = log[x] * ell % m  # log(x^ell)
@@ -183,11 +188,9 @@ def _pair_failure(spec: galois.FieldSpec, pairs) -> str | None:
 def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     """All rational evaluation places of T_m, lexicographic in coordinate
     order; each next coordinate x solves trace(x) = step(previous)."""
-    if spec.ell is None:
-        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
+    ell, q = _ell(spec), spec.q
     if m < 1:
         raise NotAdmissible(f"level must be >= 1, got {m}")
-    ell, q = spec.ell, spec.q
     expected = ell ** (m - 1) * (q - ell)
     if expected > PLACE_GUARD:
         raise TooLarge(f"{expected} places exceed the guard {PLACE_GUARD}")
@@ -214,9 +217,8 @@ def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
 
 
 def validate_place(spec: galois.FieldSpec, place: TowerPlace) -> None:
-    """Raise InvariantViolation unless the coordinates satisfy the recursion."""
-    if spec.ell is None:
-        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
+    """Raise InvariantViolation unless the coordinates satisfy the recursion
+    (NoSquareRoot, from `_maps`, over a field of odd degree)."""
     failure = _failure(_maps(spec), place.key())
     if failure:
         raise InvariantViolation(failure)
@@ -224,11 +226,9 @@ def validate_place(spec: galois.FieldSpec, place: TowerPlace) -> None:
 
 def genus(spec: galois.FieldSpec, m: int) -> int:
     """Genus of T_m (0 for m = 1)."""
-    if spec.ell is None:
-        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
+    ell = _ell(spec)
     if m < 1:
         raise NotAdmissible(f"level must be >= 1, got {m}")
-    ell = spec.ell
     if m % 2 == 0:
         return (ell ** (m // 2) - 1) ** 2
     return (ell ** ((m + 1) // 2) - 1) * (ell ** ((m - 1) // 2) - 1)
@@ -237,8 +237,7 @@ def genus(spec: galois.FieldSpec, m: int) -> int:
 def admissible_params(spec: galois.FieldSpec) -> list[tuple[int, int, int]]:
     """All (u, v, r) with u | gcd(p^v - 1, ell - 1), r = u p^v - 1 > 0, as
     `bounds.locality_params` enumerates them; sorted by r."""
-    if spec.ell is None:
-        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
+    _ell(spec)
     return bounds.locality_params(spec.p, spec.w)
 
 

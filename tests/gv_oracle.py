@@ -2,10 +2,14 @@
 
 `gv_grid_oracle` is independent of the library: a dense log grid over s
 with its own log-sum-exp, no reuse of the library's search code.
-`reference_find_s0` is the library's earlier bisection, kept as the
-bit-identity reference for `bounds.find_s0`.  `gv_inputs` and
-`bench_like_gv_inputs` are the inputs the GV tests draw, and the in-process
-GV timings too; `adversarial_gv_inputs` aims at the solve's certified band.
+`frozen_gv_derivative_sign` is `bounds.gv_derivative_sign` as it was while
+the sign test was still written out in full there, in the replay loop and
+in the band certificate; it pins `bounds._gv_sign`, the one sign test that
+replaced the three.  `reference_find_s0` is the library's earlier
+bisection on that frozen sign test, kept as the bit-identity reference for
+`bounds.find_s0`.  `gv_inputs` and `bench_like_gv_inputs` are the inputs
+the GV tests draw, and the in-process GV timings too;
+`adversarial_gv_inputs` aims at the solve's certified band.
 """
 
 import math
@@ -28,18 +32,40 @@ def gv_grid_oracle(q, r, delta, points=10**6):
     return 1.0 - float(h.min()), s, h
 
 
+def frozen_gv_derivative_sign(q, r, delta, s):
+    """Sign of h'(s) as `bounds.gv_derivative_sign` computed it, float
+    operation for float operation, before the sign test became
+    `bounds._gv_sign`; on (q, r, delta) as `bounds._gv_domain` returns them
+    and s in (0, 1], which it does not check."""
+    a_factor = (1.0 - delta) * (q - 1.0) * s - delta
+    b_factor = delta + (1.0 - delta) * s
+    log_b = (
+        -math.inf
+        if s >= 1.0
+        else math.log(q - 1.0) + r * math.log1p(-s) + math.log(b_factor)
+    )
+    if a_factor <= 0.0:
+        return -1 if log_b > -math.inf or a_factor < 0.0 else 0
+    log_a = r * math.log1p((q - 1.0) * s) + math.log(a_factor)
+    if log_a > log_b:
+        return 1
+    if log_a < log_b:
+        return -1
+    return 0
+
+
 def reference_find_s0(q, r, delta):
-    """find_s0 as it was before its bisection wrote the sign test inline:
-    every step calls `bounds.gv_derivative_sign`.  The library must return
-    the same float, bit for bit, or raise the same exception type."""
+    """find_s0 as it was before its bisection certified a band: every step
+    calls the frozen sign test.  The library must return the same float,
+    bit for bit, or raise the same exception type."""
     q, delta = bounds._gv_domain(q, r, delta)
     hi = 1.0
-    if bounds.gv_derivative_sign(q, r, delta, hi) < 0:
+    if frozen_gv_derivative_sign(q, r, delta, hi) < 0:
         return 1.0
     left, right = bounds.s0_window(q, r)
     lo = left
     tries = 0
-    while bounds.gv_derivative_sign(q, r, delta, lo) > 0:
+    while frozen_gv_derivative_sign(q, r, delta, lo) > 0:
         lo /= 2.0
         tries += 1
         if tries > 1100:
@@ -48,7 +74,7 @@ def reference_find_s0(q, r, delta):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if bounds.gv_derivative_sign(q, r, delta, mid) < 0:
+        if frozen_gv_derivative_sign(q, r, delta, mid) < 0:
             lo = mid
         else:
             hi = mid

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from lrctower.errors import (
     ConvergenceFailure,
     DomainError,
     InvariantViolation,
+    LrcError,
     NotAdmissible,
     TooLarge,
 )
@@ -18,6 +20,7 @@ from lrctower.errors import (
 from gv_oracle import (
     adversarial_gv_inputs,
     bench_like_gv_inputs,
+    frozen_gv_derivative_sign,
     gv_grid_oracle,
     reference_find_s0,
 )
@@ -407,6 +410,83 @@ def test_gv_solve_log1p_calls_stay_few(monkeypatch):
     assert sorted(per_solve)[len(per_solve) // 2] <= 19
 
 
+# -- the one sign test against its frozen copy ----------------------------------------
+
+def _hoisted(q, r, delta):
+    """(q, delta) as `_gv_domain` returns them, and the arguments of
+    `_gv_sign` and `_s0band._side` but s, as `_solve_s0` hoists them."""
+    q, delta = bounds._gv_domain(q, r, delta)
+    qm1, omd = q - 1.0, 1.0 - delta
+    return q, delta, (r, delta, qm1, omd, omd * qm1, math.log(qm1))
+
+
+def test_gv_sign_kernel_matches_the_frozen_sign_test():
+    # at the points every solve reads: s = 1, the bracket's low end and its
+    # halvings, s0 and its neighbouring floats, and both band ends
+    points_read = 0
+    for q, r, delta in itertools.chain(_gv_inputs(), adversarial_gv_inputs()):
+        try:
+            qf, clamped, hoisted = _hoisted(q, r, delta)
+        except DomainError:
+            continue
+
+        def reads(s):
+            d = bounds._gv_sign(*hoisted, s)[0]
+            want = frozen_gv_derivative_sign(qf, r, clamped, s)
+            assert (1 if d > 0.0 else -1 if d < 0.0 else 0) == want, (q, r, delta, s)
+            return want
+
+        at_one = reads(1.0)
+        assert bounds.gv_derivative_sign(q, r, delta, 1.0) == at_one, (q, r, delta)
+        lo, halvings = bounds.s0_window(qf, r)[0], 0
+        while reads(lo) > 0 and halvings <= 1100:
+            lo /= 2.0
+            halvings += 1
+        points = []
+        try:
+            s0 = bounds.find_s0(q, r, delta)
+            points += [s0, math.nextafter(s0, 0.0), min(math.nextafter(s0, 2.0), 1.0)]
+        except (ConvergenceFailure, InvariantViolation):
+            pass
+        if at_one >= 0:
+            points += _s0band.band(qf, *hoisted, lo, 1.0)
+        for s in points:
+            reads(s)
+        points_read += 2 + halvings + len(points)
+    assert points_read > 200_000
+
+
+def test_gv_band_certificate_agrees_with_the_frozen_sign_test():
+    # _side(s) = -1 claims "falling" on [s/2, s], +1 "not falling" on [s, 1)
+    rng = random.Random(22)
+    inputs = itertools.chain(itertools.islice(_gv_inputs(), 0, None, 20),
+                             adversarial_gv_inputs())
+    certified = {-1: 0, 1: 0}
+    for q, r, delta in inputs:
+        try:
+            qf, clamped, hoisted = _hoisted(q, r, delta)
+            s0 = bounds.find_s0(q, r, delta)
+        except (DomainError, ConvergenceFailure, InvariantViolation):
+            continue
+        for k in (-1, -4, -16, -40, 50, 30, 8, 1):
+            s = s0 * (1.0 + math.copysign(2.0 ** -abs(k), k))
+            if not 0.0 < s < 1.0:
+                continue
+            side = _s0band._side(*hoisted, s)
+            if side < 0:
+                samples = [s, s / 2.0, math.nextafter(s, 0.0), rng.uniform(s / 2.0, s)]
+            elif side > 0:
+                samples = [s, math.nextafter(s, 1.0), math.nextafter(1.0, 0.0),
+                           rng.uniform(s, 1.0)]
+            else:
+                continue
+            certified[side] += 1
+            for t in samples:
+                falling = frozen_gv_derivative_sign(qf, r, clamped, t) == -1
+                assert falling == (side < 0), (q, r, delta, s, side, t)
+    assert min(certified.values()) > 1000, certified
+
+
 # -- comparisons ----------------------------------------------------------------------
 
 def test_beats_gv_reproducible_lists():
@@ -619,3 +699,78 @@ def test_locality_params_match_a_brute_force_enumeration():
             rs = [r for (_, _, r) in params]
             assert rs == sorted(set(rs)), (p, w)  # sorted by r, each r once
             w += 2
+
+
+# -- error paths ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: bounds.evaluate("nope", 9, 2, 0.3), "unknown bound id",
+                 id="evaluate-unknown-id"),
+    pytest.param(lambda: bounds.closed_bound("nope", 9, 2, 0.3),
+                 "unknown closed-form bound id", id="closed_bound-unknown-id"),
+    pytest.param(lambda: bounds.sweep(["nope"], 9, 2, [0.1, 0.2]), "unknown bound id",
+                 id="sweep-unknown-id"),
+    pytest.param(lambda: bounds.lp_inner(9, 1.5), "outside", id="lp_inner-outside-0-1"),
+    pytest.param(lambda: bounds.closed_bound("main", 2.5, 1, 0.5), "not a perfect square",
+                 id="main-non-integer-q"),
+    pytest.param(lambda: bounds.admissible_localities(7), "not a square", id="q-7"),
+    pytest.param(lambda: bounds.admissible_localities(8), "not a square", id="q-8"),
+    pytest.param(lambda: bounds.admissible_localities(12), "not a prime power", id="q-12"),
+    pytest.param(lambda: bounds.admissible_localities(1), "q must be finite and >= 2",
+                 id="q-1"),
+])
+def test_bounds_error_paths(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+# -- the input contract of every public function ----------------------------------------
+
+#: (function name, valid keyword arguments, whether q must be an integer):
+#: every public function of `bounds` has at least one entry
+_CONTRACT = [
+    ("entropy", {"q": 9, "x": 0.3}, False),
+    ("singleton_finite", {"n": 10, "k": 5, "r": 2}, False),
+    ("closed_bound", {"bound_id": "plotkin", "q": 9, "r": 2, "delta": 0.3}, False),
+    ("closed_bound", {"bound_id": "main", "q": 9, "r": 2, "delta": 0.3}, True),
+    ("closed_bound", {"bound_id": "btv1", "q": 9, "r": 2, "delta": 0.3}, True),
+    ("closed_bound", {"bound_id": "btv2", "q": 9, "r": 1, "delta": 0.3}, True),
+    ("closed_bound", {"bound_id": "naive_tvz", "q": 9, "r": 2, "delta": 0.3}, True),
+    ("lp_inner", {"q": 9, "x": 0.3}, False),
+    ("lp_bound", {"q": 9, "r": 2, "delta": 0.3}, False),
+    ("gv_bound", {"q": 9, "r": 2, "delta": 0.3}, False),
+    ("gv_derivative_sign", {"q": 9, "r": 2, "delta": 0.3, "s": 0.5}, False),
+    ("s0_window", {"q": 9, "r": 2}, False),
+    ("find_s0", {"q": 9, "r": 2, "delta": 0.3}, False),
+    ("evaluate", {"bound_id": "gv", "q": 9, "r": 2, "delta": 0.3}, False),
+    ("evaluate", {"bound_id": "main", "q": 9, "r": 2, "delta": 0.3}, True),
+    ("locality_params", {"p": 3, "w": 2}, False),
+    ("admissible_localities", {"q": 9}, True),
+    ("beats_gv_localities", {"q": 9, "delta": 0.5, "candidates": [1, 2]}, True),
+    ("crossover_delta_naive", {"q": 9, "r": 2}, True),
+    ("sweep", {"ids": ["gv", "main"], "q": 9, "r": 2, "delta_grid": [0.1, 0.2]}, False),
+    ("rows_to_csv", {"rows": [bounds.CurveRow(0.1, "gv", 0.5)]}, False),
+]
+
+
+def test_every_public_bounds_function_has_a_contract_entry():
+    public = {name for name, fn in inspect.getmembers(bounds, inspect.isfunction)
+              if fn.__module__ == bounds.__name__ and not name.startswith("_")}
+    assert public == {name for name, _, _ in _CONTRACT}
+
+
+@pytest.mark.parametrize("name,kwargs,integer_q", _CONTRACT,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(_CONTRACT)])
+def test_bad_q_or_r_is_one_lrc_error(name, kwargs, integer_q):
+    # never a raw exception, a nan result or an answer for another q
+    fn = getattr(bounds, name)
+    fn(**kwargs)  # the valid arguments are valid
+    bad = []
+    if "q" in kwargs:
+        bad += [("q", q) for q in (math.nan, math.inf, 10**400, 1, 0.5)
+                + ((16.5,) if integer_q else ())]
+    if "r" in kwargs:
+        bad += [("r", r) for r in (math.nan, 0)]
+    for key, value in bad:
+        with pytest.raises(LrcError):
+            fn(**{**kwargs, key: value})

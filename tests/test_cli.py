@@ -160,6 +160,24 @@ def test_usage_error_exit_code(args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args,message", [
+    pytest.param(["bounds", "lists"], "provide --q or --reference-sets",
+                 id="lists-neither-option"),
+    pytest.param(["code", "repair", "CODE", "--word", "4,7,?"], "word must have n = 6 symbols",
+                 id="repair-short-word"),
+    pytest.param(["code", "repair", "CODE", "--word", "4,7,?,?,0,3"],
+                 "word must contain exactly one ? (or pass --idx)", id="repair-two-erasures"),
+])
+def test_usage_error_ends_in_one_error_line(tmp_path, args, message):
+    code = tmp_path / "c.json"
+    invoke("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1",
+           "--out", str(code))
+    result = invoke(*(str(code) if arg == "CODE" else arg for arg in args))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1].endswith(f"error: {message}")
+
+
 def test_option_values_may_start_with_a_dash():
     result = invoke("bounds", "sweep", "--bounds", "main", "--q", "729", "--r", "2",
                     "--delta-min", "-1e-3", "--delta-max", "0.5", "--steps", "3")

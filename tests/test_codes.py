@@ -21,6 +21,7 @@ from lrctower.errors import (
     NoGroups,
     NotDivisible,
     NotRepairable,
+    RankDeficiency,
     SpecMismatch,
     TooLarge,
 )
@@ -1383,3 +1384,11 @@ def test_a_null_r_survives_a_json_round_trip():
     doc = json.loads(text)
     doc["params"]["r"] = 5  # params never supply r
     assert codes.verify_locality(codes.from_json(doc)).r == 1
+
+
+def test_a_rank_deficient_generator_is_rejected():
+    # the rank check every build and load runs
+    f9 = F(3, 2)
+    row = [f9.from_index(1), f9.from_index(2)]
+    with pytest.raises(RankDeficiency, match="generator rank below k = 2"):
+        codes.LinearCode(field=f9, n=2, k=2, generator=[row, list(row)])

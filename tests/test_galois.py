@@ -442,3 +442,20 @@ def test_index_helpers_match_the_element_definitions(p, w):
                 span = {s + c * cand for s in span for c in subfield}
                 dim += 1
         assert galois.repair_subspace(f, u, v) == sorted(span)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: galois.field_create(3, 2).element([1]), SpecMismatch,
+                 "expected 2 coefficients", id="element-wrong-length"),
+    pytest.param(lambda: galois.field_create(3, 2).from_index(9), SpecMismatch,
+                 r"index 9 outside \[0, 9\)", id="from-index-q"),
+    pytest.param(lambda: galois.field_create(2, 0), NotAdmissible, "exponent must be >= 1",
+                 id="field-create-w-0"),
+    pytest.param(lambda: galois.subgroup_exponent(2, 2), NotDivisor, "shares a factor",
+                 id="subgroup-exponent-u-shares-p"),
+    pytest.param(lambda: galois.check_admissible(galois.field_create(2, 4), 0, 0),
+                 NotAdmissible, "u must be positive", id="check-admissible-u-0"),
+])
+def test_galois_error_paths(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -617,3 +617,22 @@ def test_certificate_of_the_order_992_group_over_gf1024():
     assert group.order == len(group.pairs) == 992 == spec.q - spec.ell
     orbits = tower.orbit_partition(group, tower.enumerate_places(spec, 1))
     assert orbits == [list(range(992))]
+
+
+_ODD = r"^GF\(2\^3\) has odd degree$"
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: tower.validate_place(F(3, 2), tower.TowerPlace(1, (F(3, 2).zero(),))),
+                 InvariantViolation, "additive kernel", id="validate-kernel-coordinate"),
+    pytest.param(lambda: tower.validate_place(F(2, 3), tower.TowerPlace(1, (F(2, 3).one(),))),
+                 NoSquareRoot, _ODD, id="validate-odd-degree"),
+    pytest.param(lambda: tower.genus(F(2, 3), 1), NoSquareRoot, _ODD, id="genus-odd-degree"),
+    pytest.param(lambda: tower.admissible_params(F(2, 3)), NoSquareRoot, _ODD,
+                 id="admissible-params-odd-degree"),
+    pytest.param(lambda: tower.AutSubgroup(F(3, 2), 1, 0, [(0, 0)]), InvariantViolation,
+                 "not a unit", id="subgroup-pair-not-a-unit"),
+])
+def test_tower_error_paths(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
