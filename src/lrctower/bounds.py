@@ -484,12 +484,17 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, w
 
 
-def locality_params(p: int, w: int) -> list[tuple[int, int, int]]:
-    """All (u, v, r) with u | gcd(p^v - 1, ell - 1), r = u p^v - 1 > 0, for
-    q = p^w with w even and ell = p^(w/2): the automorphism subgroups of
-    order r + 1 = u p^v that the tower constructions use.
+def _unit_gcd(p: int, ell: int, v: int) -> int:
+    """g(p, ell, v) = gcd(p^v - 1, ell - 1): (u, v) is admissible exactly
+    when u divides it.  At v = 0 it is gcd(0, ell - 1) = ell - 1."""
+    return gcd(p**v - 1, ell - 1)
 
-    Uses the v = 0 convention gcd(p^0 - 1, ell - 1) = ell - 1; sorted by r.
+
+def locality_params(p: int, w: int) -> list[tuple[int, int, int]]:
+    """All (u, v, r) with u | g = `_unit_gcd`(p, ell, v), r = u p^v - 1 > 0,
+    for q = p^w with w even and ell = p^(w/2): the automorphism subgroups
+    of order r + 1 = u p^v that the tower constructions use; sorted by r.
+
     Every u divides p^v - 1 (or ell - 1), so it is prime to p and
     r + 1 = u p^v determines (u, v): no two triples share an r.  Integers
     only, so the `bounds lists` commands build no field.
@@ -497,7 +502,7 @@ def locality_params(p: int, w: int) -> list[tuple[int, int, int]]:
     ell, wp = p ** (w // 2), w // 2
     params = []
     for v in range(wp + 1):
-        g = ell - 1 if v == 0 else gcd(p**v - 1, ell - 1)
+        g = _unit_gcd(p, ell, v)
         params += [(u, v, u * p**v - 1) for u in range(1, g + 1)
                    if g % u == 0 and u * p**v > 1]
     return sorted(params, key=lambda t: t[2])
@@ -541,11 +546,14 @@ def sweep(ids, q: float, r: int, delta_grid) -> list[CurveRow]:
     """One CurveRow per (delta, id), delta-major; out-of-domain rows carry NaN.
 
     Structural errors (unknown id, inadmissible btv query) propagate, and so
-    does a q or grid delta that is not finite, a q below 2 or a locality
-    that `_check_r` rejects.
+    does a q or grid delta that is not finite, a q below 2, a q that is not
+    a perfect square when a requested bound needs one, or a locality that
+    `_check_r` rejects.
     """
     _check_q(q)
     _check_r(r)
+    if not _SQUARE_IDS.isdisjoint(ids):
+        _sqrt_q(_check_q(q))
     grid = list(delta_grid)
     if not all(map(math.isfinite, grid)) or any(
         b <= a for a, b in zip(grid, grid[1:])

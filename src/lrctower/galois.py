@@ -11,22 +11,30 @@ logarithms log(1 + g^k), which a field builds on its first operation.
 For even w the field carries ell = p^(w/2) = sqrt(q) and the subfield
 F_ell is characterized as the fixed set of the ell-power map.  On top of
 that live the additive kernel {a : a^ell + a = 0}, the unit subgroups
-H <= F_ell^* and the repair subspaces W used by the tower constructions;
-all three are built over indices (scans of the logs, powers of g and an
-index span) and returned as sorted element lists.
+H <= F_ell^* and the repair subspaces W used by the tower constructions,
+each returned as a sorted element list.  The kernel is the zero set of
+the trace map x -> x^ell + x, which a field builds once over indices and
+`tower` reads too; H is a set of powers of g and W an index span.
+
+Each field rule is written once: `_require_square` is the odd-degree
+guard of this module and `tower`, `bounds._prime_power` decides whether
+p is prime, `bounds._unit_gcd` is the bound gcd(p^v - 1, ell - 1) that u
+must divide, and `_int` reads every integer parameter.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from math import gcd
+from math import gcd, inf
 from operator import index as _integer
 from typing import Iterator, Sequence
 
+from . import bounds
 from .errors import (
     SIZE_GUARD,
     DivideByZero,
+    DomainError,
     NoSquareRoot,
     NotAdmissible,
     NotDivisor,
@@ -36,21 +44,6 @@ from .errors import (
 )
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _poly_mod(num: list[int], den: Sequence[int], p: int) -> list[int]:
@@ -87,8 +80,22 @@ def _index(coeffs: Sequence[int], p: int) -> int:
     """Canonical index sum coeffs[k] * p^k, each coefficient reduced mod p."""
     i = 0
     for c in reversed(coeffs):
-        i = i * p + _integer(c) % p
+        i = i * p + c % p
     return i
+
+
+def _int(x, lo=-inf, hi=inf, error=SpecMismatch, message="") -> int:
+    """The integer parameter x, read by `operator.index` as `field_from_json`
+    reads p and w, so ints, bools and numpy ints pass: error(message) unless
+    lo <= x <= hi, and error naming x if it is no integer (a float, NaN or
+    string)."""
+    try:
+        n = _integer(x)
+    except TypeError:
+        raise error(f"{x!r} is not an integer") from None
+    if not lo <= n <= hi:
+        raise error(message)
+    return n
 
 
 class FieldSpec:
@@ -130,6 +137,15 @@ class FieldSpec:
         return powers + powers, log, zech
 
     @cached_property
+    def _trace(self) -> list[int]:
+        """trace[x] = x^ell + x over canonical indices, the trace to F_ell,
+        whose zeros are the additive kernel; NoSquareRoot for odd w."""
+        ell, m = _require_square(self), self.q - 1
+        exp, log, _ = self._logs
+        add = self._index_ops[0]
+        return [0] + [add(exp[log[x] * ell % m], x) for x in range(1, self.q)]
+
+    @cached_property
     def _index_ops(self):
         """`index_ops`: (add, mul) on canonical indices."""
         exp, log, zech = self._logs
@@ -153,13 +169,12 @@ class FieldSpec:
             raise SpecMismatch(
                 f"expected {self.w} coefficients, got {len(coeffs)}"
             )
-        return FieldElement(self, _index(coeffs, self.p))
+        return FieldElement(self, _index([_int(c) for c in coeffs], self.p))
 
     def from_index(self, i: int) -> "FieldElement":
         """Element with canonical index i = sum coeffs[k] * p^k."""
-        if not 0 <= i < self.q:
-            raise SpecMismatch(f"index {i} outside [0, {self.q})")
-        return FieldElement(self, i)
+        q = self.q
+        return FieldElement(self, _int(i, 0, q - 1, message=f"index {i} outside [0, {q})"))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -168,7 +183,7 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def scalar(self, c: int) -> "FieldElement":
-        return FieldElement(self, c % self.p)
+        return FieldElement(self, _int(c) % self.p)
 
     def elements(self) -> Iterator["FieldElement"]:
         """All elements in canonical index order."""
@@ -300,6 +315,7 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        n = _int(n)
         if not self.index:
             if n < 0:
                 raise DivideByZero("inverse of zero")
@@ -339,12 +355,11 @@ def field_create(p: int, w: int) -> FieldSpec:
     w = 1 this is X itself, i.e. plain Z_p arithmetic.  For w > 1 the
     search starts at c0 = 1: a polynomial with c0 = 0 is divisible by X.
     """
-    if w < 1:
-        raise NotAdmissible(f"exponent must be >= 1, got {w}")
+    w = _int(w, 1, error=NotAdmissible, message=f"exponent must be >= 1, got {w}")
+    p = _int(p, error=NotPrime)
     if w >= SIZE_GUARD.bit_length() or p**w > SIZE_GUARD:
         raise TooLarge(f"p^w = {p}^{w} exceeds the guard {SIZE_GUARD}")
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _require_prime(p)
     key = (p, w)
     if key not in _FIELD_CACHE:
         modulus = None
@@ -375,9 +390,22 @@ def field_from_json(data: dict) -> FieldSpec:
     return spec
 
 
+def _require_prime(p: int) -> None:
+    """NotPrime unless the integer p is a prime, by the one primality rule:
+    `bounds._prime_power` reads q = p as p^1 (a DomainError there, for
+    p < 2, also means "not prime")."""
+    try:
+        prime = bounds._prime_power(p) == (p, 1)
+    except DomainError:
+        prime = False
+    if not prime:
+        raise NotPrime(f"{p} is not prime")
+
+
 def _require_square(spec: FieldSpec) -> int:
+    """ell = sqrt(q); NoSquareRoot for odd w, where there is none."""
     if spec.ell is None:
-        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree, no ell")
+        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
     return spec.ell
 
 
@@ -387,24 +415,15 @@ def index_ops(spec: FieldSpec):
     return spec._index_ops
 
 
-def _roots(spec: FieldSpec, e: int, c: int) -> list[int]:
-    """0 and the nonzero x with x^e = c, as ascending indices, for an
-    index c != 0: a scan of the logs for log(x) e = log(c) mod q - 1."""
-    log = spec._logs[1]
-    m, lc = spec.q - 1, log[c]
-    return [0] + [x for x in range(1, spec.q) if log[x] * e % m == lc]
-
-
 def artin_schreier_kernel(spec: FieldSpec) -> list[FieldElement]:
     """All a in GF(q) with a^ell + a = 0, in canonical order (size ell):
-    0 and the a with a^(ell-1) = -1."""
-    ell = _require_square(spec)
-    kernel = _roots(spec, ell - 1, spec.p - 1)
-    if len(kernel) != ell:
+    the zeros of the trace map."""
+    kernel = [FieldElement(spec, a) for a, t in enumerate(spec._trace) if not t]
+    if len(kernel) != spec.ell:
         raise SpecMismatch(
-            f"kernel size {len(kernel)} != ell = {ell}"
+            f"kernel size {len(kernel)} != ell = {spec.ell}"
         )  # pragma: no cover - structural
-    return [FieldElement(spec, a) for a in kernel]
+    return kernel
 
 
 def unit_subgroup(spec: FieldSpec, u: int) -> list[FieldElement]:
@@ -412,6 +431,7 @@ def unit_subgroup(spec: FieldSpec, u: int) -> list[FieldElement]:
     the powers g^(j (q-1)/u) of the primitive element g, which lie in
     F_ell^* because u divides ell - 1."""
     ell = _require_square(spec)
+    u = _int(u, error=NotDivisor)
     if u < 1 or (ell - 1) % u != 0:
         raise NotDivisor(f"u = {u} does not divide ell - 1 = {ell - 1}")
     exp, step = spec._logs[0], (spec.q - 1) // u
@@ -423,8 +443,9 @@ def unit_subgroup(spec: FieldSpec, u: int) -> list[FieldElement]:
 
 def subgroup_exponent(u: int, p: int) -> int:
     """h = min{t > 0 : u | p^t - 1}; the field F_p(H) is F_{p^h}."""
-    if u < 1:
-        raise NotDivisor(f"u = {u} must be positive")
+    u = _int(u, 1, error=NotDivisor, message=f"u = {u} must be positive")
+    p = _int(p, error=NotPrime)
+    _require_prime(p)
     if u == 1:
         return 1
     if gcd(u, p) != 1:
@@ -440,12 +461,9 @@ def check_admissible(spec: FieldSpec, u: int, v: int) -> None:
     """Raise NotAdmissible unless (u, v) satisfies the subgroup conditions."""
     ell = _require_square(spec)
     wp = spec.w // 2
-    if not 0 <= v <= wp:
-        raise NotAdmissible(f"v = {v} outside [0, {wp}]")
-    if u < 1:
-        raise NotAdmissible(f"u must be positive, got {u}")
-    # v = 0 convention: gcd(p^0 - 1, ell - 1) = gcd(0, ell - 1) = ell - 1
-    g = ell - 1 if v == 0 else gcd(spec.p**v - 1, ell - 1)
+    v = _int(v, 0, wp, error=NotAdmissible, message=f"v = {v} outside [0, {wp}]")
+    u = _int(u, 1, error=NotAdmissible, message=f"u must be positive, got {u}")
+    g = bounds._unit_gcd(spec.p, ell, v)
     if g % u != 0:
         raise NotAdmissible(
             f"u = {u} does not divide gcd(p^v - 1, ell - 1) = {g}"
@@ -466,7 +484,8 @@ def repair_subspace(spec: FieldSpec, u: int, v: int) -> list[FieldElement]:
     kernel = artin_schreier_kernel(spec)
     if dim == 0:
         return [spec.zero()]
-    subfield = _roots(spec, p**h - 1, 1)  # F_{p^h}: 0 and the x with x^(p^h - 1) = 1
+    m = spec.q - 1  # F_{p^h}: 0 and the powers of g^((q-1)/(p^h-1))
+    subfield = [0] + spec._logs[0][:m:m // (p**h - 1)]
     add, mul = index_ops(spec)
     span = {0}
     basis = 0

@@ -10,9 +10,10 @@ subgroup H and a repair subspace W.
 Subgroups, place enumeration and orbits run over canonical indices (index
 pairs (c, a) and index tuples), with every structural check kept there.
 The recursion lives in one pair of index maps per field, trace and step,
-which generate the places and check each listed place once.  A subgroup
-is certified by closing its pairs from greedily drawn generators, in
-O(|G| log |G|) compositions.
+which generate the places and check each listed place once; trace is the
+field's own (`FieldSpec._trace`), whose zeros are galois's additive
+kernel.  A subgroup is certified by closing its pairs from greedily drawn
+generators, in O(|G| log |G|) compositions.
 Elements appear only in what the API returns: `TowerPlace` and `AutMap`
 (immutable named tuples) and `AutSubgroup.elements`.
 """
@@ -27,7 +28,6 @@ from .errors import (
     DistanceNonpositive,
     InvariantViolation,
     LocalityTooSmall,
-    NoSquareRoot,
     NotAdmissible,
     SOutOfRange,
     TooLarge,
@@ -134,28 +134,17 @@ class AutSubgroup:
         return self.order
 
 
-def _ell(spec: galois.FieldSpec) -> int:
-    """ell = sqrt(q); NoSquareRoot for odd w, where there is none."""
-    if spec.ell is None:
-        raise NoSquareRoot(f"GF({spec.p}^{spec.w}) has odd degree")
-    return spec.ell
-
-
 @cache
 def _maps(spec: galois.FieldSpec) -> tuple[list[int], list[int]]:
-    """(trace, step) over canonical indices, built once per field:
-    trace[x] = x^ell + x, the trace to F_ell, and step[x] =
-    x^ell / (x^(ell-1) + 1), or -1 where the denominator is 0.
-    NoSquareRoot for odd w, where there is no ell."""
-    ell, m = _ell(spec), spec.q - 1
+    """(trace, step) over canonical indices, built once per field: the
+    field's trace[x] = x^ell + x, the trace to F_ell, and step[x] =
+    x^ell / (x^(ell-1) + 1) = x^(ell+1) / trace[x], or -1 where the
+    denominator is 0.  NoSquareRoot for odd w, where there is no ell."""
+    trace, m = spec._trace, spec.q - 1
     exp, log, _ = spec._logs
-    add = galois.index_ops(spec)[0]
-    trace, step = [0], [0]
-    for x in range(1, spec.q):
-        lx = log[x] * ell % m  # log(x^ell)
-        trace.append(add(exp[lx], x))
-        den = add(exp[log[x] * (ell - 1) % m], 1)
-        step.append(exp[lx + m - log[den]] if den else -1)
+    e = spec.ell + 1
+    step = [0] + [exp[(log[x] * e - log[t]) % m] if t else -1
+                  for x, t in enumerate(trace) if x]
     return trace, step
 
 
@@ -175,7 +164,7 @@ def _pair_failure(spec: galois.FieldSpec, pairs) -> str | None:
     """Why the first (c, a) index pair that is not a tower automorphism is
     not one, or None: c must lie in F_ell^*, where log c is a multiple of
     (q-1)/(ell-1) = ell+1, and a in the additive kernel, trace(a) = 0."""
-    log, trace = spec._logs[1], _maps(spec)[0]
+    log, trace = spec._logs[1], spec._trace
     for c, a in pairs:
         if log[c] % (spec.ell + 1):
             return f"pair {(c, a)} is not a tower automorphism: c lies outside F_{spec.ell}^*"
@@ -188,9 +177,8 @@ def _pair_failure(spec: galois.FieldSpec, pairs) -> str | None:
 def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     """All rational evaluation places of T_m, lexicographic in coordinate
     order; each next coordinate x solves trace(x) = step(previous)."""
-    ell, q = _ell(spec), spec.q
-    if m < 1:
-        raise NotAdmissible(f"level must be >= 1, got {m}")
+    ell, q = galois._require_square(spec), spec.q
+    m = galois._int(m, 1, error=NotAdmissible, message=f"level must be >= 1, got {m}")
     expected = ell ** (m - 1) * (q - ell)
     if expected > PLACE_GUARD:
         raise TooLarge(f"{expected} places exceed the guard {PLACE_GUARD}")
@@ -226,9 +214,8 @@ def validate_place(spec: galois.FieldSpec, place: TowerPlace) -> None:
 
 def genus(spec: galois.FieldSpec, m: int) -> int:
     """Genus of T_m (0 for m = 1)."""
-    ell = _ell(spec)
-    if m < 1:
-        raise NotAdmissible(f"level must be >= 1, got {m}")
+    ell = galois._require_square(spec)
+    m = galois._int(m, 1, error=NotAdmissible, message=f"level must be >= 1, got {m}")
     if m % 2 == 0:
         return (ell ** (m // 2) - 1) ** 2
     return (ell ** ((m + 1) // 2) - 1) * (ell ** ((m - 1) // 2) - 1)
@@ -237,7 +224,7 @@ def genus(spec: galois.FieldSpec, m: int) -> int:
 def admissible_params(spec: galois.FieldSpec) -> list[tuple[int, int, int]]:
     """All (u, v, r) with u | gcd(p^v - 1, ell - 1), r = u p^v - 1 > 0, as
     `bounds.locality_params` enumerates them; sorted by r."""
-    _ell(spec)
+    galois._require_square(spec)
     return bounds.locality_params(spec.p, spec.w)
 
 
@@ -323,8 +310,7 @@ def s_range(spec: galois.FieldSpec, m: int, r: int) -> tuple[int, int]:
     locality r >= 1."""
     ell = spec.ell
     g = genus(spec, m)
-    if r < 1:
-        raise LocalityTooSmall(f"locality r = {r} < 1")
+    r = galois._int(r, 1, error=LocalityTooSmall, message=f"locality r = {r} < 1")
     s_min = 0 if m == 1 else -(-(g - 1) // (r + 1))  # ceil((g-1)/(r+1))
     # n_{m-1}; extended downward to ell - 1 at m = 1
     s_max = ell - 1 if m == 1 else ell ** (m - 2) * (spec.q - ell)
@@ -338,11 +324,11 @@ def thm34_params(spec: galois.FieldSpec, m: int, r: int,
     k_lb is the exact ceiling of r*s - r(g-1)/(r+1); errors if s is out of
     range or the distance bound drops below 1.
     """
+    r = galois._int(r, error=NotAdmissible)
     if not any(rr == r for (_, _, rr) in admissible_params(spec)):
         raise NotAdmissible(f"locality r = {r} is not admissible for q = {spec.q}")
     lo, hi = s_range(spec, m, r)
-    if not lo <= s <= hi:
-        raise SOutOfRange(f"s = {s} outside [{lo}, {hi}]")
+    s = galois._int(s, lo, hi, error=SOutOfRange, message=f"s = {s} outside [{lo}, {hi}]")
     ell = spec.ell
     n = ell ** (m - 1) * (spec.q - ell)
     g = genus(spec, m)

@@ -605,6 +605,15 @@ def test_sweep_requires_increasing_grid():
         bounds.sweep(["main"], 729, 2, [0.5, 0.4])
 
 
+@pytest.mark.parametrize("ids", [["main"], ["btv1"], ["btv2"], ["naive_tvz"], ["gv", "main"]])
+@pytest.mark.parametrize("q", [10, 16.5])
+def test_sweep_with_a_square_only_bound_rejects_a_non_square_q(ids, q):
+    # one error for the whole sweep, not a column of nan
+    with pytest.raises(DomainError, match="is not a perfect square"):
+        bounds.sweep(ids, q, 2, [0.1, 0.3])
+    assert not any(math.isnan(row.value) for row in bounds.sweep(["gv"], q, 2, [0.1, 0.3]))
+
+
 def test_sweep_gv_at_zero_marker():
     rows = bounds.sweep(["gv"], 9, 2, [0.0, 0.5])
     assert math.isnan(rows[0].value)  # gv needs delta > 0

@@ -560,6 +560,23 @@ def test_verify_scan_above_the_scan_field_is_a_one_line_error(tmp_path):
         assert lines == ["TooLarge: codeword scans are limited to q <= 4096, got q=8192"]
 
 
+@pytest.mark.parametrize("args,line", [
+    pytest.param(["bounds", "sweep", "--bounds", "main", "--q", "10", "--r", "2",
+                  "--delta-min", "0.1", "--delta-max", "0.5", "--steps", "3"],
+                 "DomainError: q = 10.0 is not a perfect square", id="sweep-main-q-10"),
+    pytest.param(["bounds", "sweep", "--bounds", "gv,naive_tvz", "--q", "16.5", "--r", "2",
+                  "--delta-min", "0.1", "--delta-max", "0.5", "--steps", "3"],
+                 "DomainError: q = 16.5 is not a perfect square", id="sweep-naive-tvz-q-16.5"),
+    pytest.param(["code", "build", "--q", "8", "--u", "1", "--v", "0", "--s", "0"],
+                 "NoSquareRoot: GF(2^3) has odd degree", id="code-build-q-8"),
+])
+def test_a_non_square_q_is_one_error_line_for_the_whole_command(args, line):
+    result = invoke(*args)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == line + "\n"
+
+
 def test_huge_q_names_the_integer_the_float_holds():
     result = invoke("bounds", "eval", "--bound", "main", "--q", "1e30",
                     "--r", "2", "--delta", "0.5")

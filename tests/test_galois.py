@@ -21,6 +21,11 @@ def idx_set(elements):
     return {e.index for e in elements}
 
 
+def _is_prime(n):
+    """Trial division, independent of the library's primality rule."""
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
 def test_prime_field_is_plain_modular_arithmetic():
     f2 = galois.field_create(2, 1)
     assert f2.modulus == (0, 1)
@@ -46,6 +51,18 @@ def test_gf9_modulus_matches_enumeration_oracle():
 def test_field_create_rejects_composite_characteristic():
     with pytest.raises(NotPrime):
         galois.field_create(4, 1)
+
+
+def test_the_primality_rule_matches_trial_division():
+    # field_create and subgroup_exponent share one rule, bounds._prime_power
+    for n in range(-3, 1200):
+        if _is_prime(n):
+            assert galois.field_create(n, 1).p == n
+            assert galois.subgroup_exponent(1, n) == 1
+            continue
+        for call in (lambda: galois.field_create(n, 1), lambda: galois.subgroup_exponent(1, n)):
+            with pytest.raises(NotPrime, match=f"^{n} is not prime$"):
+                call()
 
 
 def test_field_create_size_guard():
@@ -84,7 +101,7 @@ def _first_irreducible(p, w):
 
 
 def test_modulus_is_first_irreducible_of_the_full_enumeration():
-    small = [(p, w) for p in range(2, 4097) if galois._is_prime(p)
+    small = [(p, w) for p in range(2, 4097) if _is_prime(p)
              for w in range(1, 13) if p**w <= 4096]
     assert len(small) == 604  # 564 primes, 40 proper prime powers
     for p, w in small:
@@ -381,7 +398,7 @@ def test_kernel_matches_polynomial_oracle_on_every_pair(p, w):
 
 
 def test_tables_equal_the_numpy_oracle_on_every_field_to_256():
-    fields = [(p, w) for p in range(2, 257) if galois._is_prime(p)
+    fields = [(p, w) for p in range(2, 257) if _is_prime(p)
               for w in range(1, 9) if p**w <= 256]
     assert len(fields) == 70
     for p, w in fields:

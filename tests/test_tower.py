@@ -1,5 +1,7 @@
 import collections
+import inspect
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from lrctower.errors import (
     DistanceNonpositive,
     InvariantViolation,
     LocalityTooSmall,
+    LrcError,
     NoSquareRoot,
     NotAdmissible,
     SOutOfRange,
@@ -480,10 +483,15 @@ def test_place_check_matches_the_cross_multiplied_oracle(p, w, m):
 
 @pytest.mark.parametrize("p,w", [(2, 2), (3, 2), (2, 4), (5, 2), (2, 6), (3, 4)])
 def test_kernel_is_the_zero_set_of_the_trace_map(p, w):
+    # the kernel reads the trace map; the right-hand side is the log
+    # criterion a^(ell-1) = -1: (ell-1) log a = log(-1) mod q - 1
     spec = F(p, w)
     trace = tower._maps(spec)[0]
+    log, m = spec._logs[1], spec.q - 1
     assert ([a.index for a in galois.artin_schreier_kernel(spec)]
-            == [x for x, t in enumerate(trace) if not t])
+            == [x for x, t in enumerate(trace) if not t]
+            == [0] + [x for x in range(1, spec.q)
+                      if (spec.ell - 1) * log[x] % m == log[spec.p - 1]])
 
 
 # -- the generator certificate against the all-pairs oracle ------------------------
@@ -636,3 +644,84 @@ _ODD = r"^GF\(2\^3\) has odd degree$"
 def test_tower_error_paths(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# -- the input contract of every public function ----------------------------------------
+
+def _place(spec):
+    return tower.TowerPlace(1, (spec.from_index(2),))  # a place of T_1 over GF(16)
+
+
+def _identity(spec):
+    return tower.AutMap(spec.one(), spec.zero())
+
+
+#: (name, call, valid keyword arguments, the integer parameters among them,
+#: whether the field must be a square): each call takes the field as `spec`
+#: (GF(16) when valid), and every public function of `galois` and `tower`,
+#: public method of `galois.FieldSpec` and `FieldElement.__pow__` has an entry
+_CONTRACT = [
+    ("galois.field_create", lambda spec, p, w: galois.field_create(p, w),
+     {"p": 3, "w": 2}, ("p", "w"), False),
+    ("galois.field_from_json",
+     lambda spec, p, w: galois.field_from_json({"p": p, "w": w, "modulus": [1, 0, 1]}),
+     {"p": 3, "w": 2}, ("p", "w"), False),
+    ("galois.index_ops", galois.index_ops, {}, (), False),
+    ("galois.artin_schreier_kernel", galois.artin_schreier_kernel, {}, (), True),
+    ("galois.unit_subgroup", galois.unit_subgroup, {"u": 3}, ("u",), True),
+    ("galois.subgroup_exponent", lambda spec, u, p: galois.subgroup_exponent(u, p),
+     {"u": 3, "p": 2}, ("u", "p"), False),
+    ("galois.check_admissible", galois.check_admissible, {"u": 3, "v": 2}, ("u", "v"), True),
+    ("galois.repair_subspace", galois.repair_subspace, {"u": 3, "v": 2}, ("u", "v"), True),
+    ("FieldSpec.element", lambda spec, c: spec.element([c, 0, 0, 1]), {"c": 1}, ("c",), False),
+    ("FieldSpec.from_index", lambda spec, i: spec.from_index(i), {"i": 5}, ("i",), False),
+    ("FieldSpec.zero", lambda spec: spec.zero(), {}, (), False),
+    ("FieldSpec.one", lambda spec: spec.one(), {}, (), False),
+    ("FieldSpec.scalar", lambda spec, c: spec.scalar(c), {"c": 1}, ("c",), False),
+    ("FieldSpec.elements", lambda spec: list(spec.elements()), {}, (), False),
+    ("FieldSpec.tables", lambda spec: spec.tables(), {}, (), False),
+    ("FieldSpec.to_json", lambda spec: spec.to_json(), {}, (), False),
+    ("FieldElement.__pow__", lambda spec, n: spec.from_index(5) ** n, {"n": 3}, ("n",), False),
+    ("tower.compose", lambda spec: tower.compose(_identity(spec), _identity(spec)),
+     {}, (), False),
+    ("tower.aut_inverse", lambda spec: tower.aut_inverse(_identity(spec)), {}, (), False),
+    ("tower.enumerate_places", tower.enumerate_places, {"m": 1}, ("m",), True),
+    ("tower.validate_place", lambda spec: tower.validate_place(spec, _place(spec)),
+     {}, (), True),
+    ("tower.genus", tower.genus, {"m": 2}, ("m",), True),
+    ("tower.admissible_params", tower.admissible_params, {}, (), True),
+    ("tower.build_subgroup", tower.build_subgroup, {"u": 3, "v": 2}, ("u", "v"), True),
+    ("tower.act_inverse", lambda spec: tower.act_inverse(_identity(spec), _place(spec)),
+     {}, (), True),
+    ("tower.orbit_partition",
+     lambda spec: tower.orbit_partition(tower.AutSubgroup(spec, 1, 0, [(1, 0)]), [_place(spec)]),
+     {}, (), True),
+    ("tower.s_range", tower.s_range, {"m": 2, "r": 3}, ("m", "r"), True),
+    ("tower.thm34_params", tower.thm34_params, {"m": 1, "r": 3, "s": 1}, ("m", "r", "s"), True),
+]
+
+
+def test_every_public_galois_and_tower_function_has_a_contract_entry():
+    public = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+              for module in (galois, tower)
+              for name, fn in inspect.getmembers(module, inspect.isfunction)
+              if fn.__module__ == module.__name__ and not name.startswith("_")}
+    public |= {f"FieldSpec.{name}"
+               for name, _ in inspect.getmembers(galois.FieldSpec, inspect.isfunction)
+               if not name.startswith("_")}
+    assert public | {"FieldElement.__pow__"} == {name for name, *_ in _CONTRACT}
+
+
+@pytest.mark.parametrize("name,call,kwargs,integers,square", _CONTRACT,
+                         ids=[name for name, *_ in _CONTRACT])
+def test_a_non_integer_or_an_odd_degree_field_is_one_lrc_error(name, call, kwargs,
+                                                               integers, square):
+    # never a raw exception, an element with a non-integer index or a float result
+    call(F(2, 4), **kwargs)  # the valid arguments are valid
+    for key in integers:
+        for value in (2.5, math.nan, "3"):
+            with pytest.raises(LrcError):
+                call(F(2, 4), **{**kwargs, key: value})
+    if square:
+        with pytest.raises(NoSquareRoot, match=r"^GF\(2\^3\) has odd degree$"):
+            call(F(2, 3), **kwargs)
