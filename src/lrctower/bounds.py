@@ -360,8 +360,10 @@ def find_s0(q: float, r: int, delta: float) -> float:
 def _solve_s0(q: float, r: int, delta: float) -> float:
     """`find_s0` on (q, delta) as `_gv_domain` returns them.
 
-    The probes at s = 1 and at each halving of the bracket's low end call
-    `gv_derivative_sign`.  The bisection then runs in three steps:
+    (q, r, delta) are checked once, by the caller: the probes at s = 1 and
+    at each halving of the bracket's low end run the sign test, `_gv_sign`,
+    on the constants `gv_derivative_sign` derives from them, so each reads
+    the d that function reads.  The bisection then runs in three steps:
 
     1. estimate: `_s0band` places s* near the root by a Newton solve on
        v = log A, with s = (delta + e^v) / ((1-delta)(q-1));
@@ -407,22 +409,24 @@ def _solve_s0(q: float, r: int, delta: float) -> float:
     overflow of r log1p(...) can only raise LA or sink LB, the side the band
     gives.  `_s0band._side` makes the check, with slack for its own rounding.
     """
+    qm1 = q - 1.0
+    omd = 1.0 - delta
+    slope = omd * qm1
+    log_qm1 = log(qm1)
     hi = 1.0
-    if gv_derivative_sign(q, r, delta, hi) < 0:
+    if _gv_sign(r, delta, qm1, omd, slope, log_qm1, hi)[0] < 0.0:
         # h decreasing on all of (0, 1]: minimum sits at the right endpoint
         return 1.0
     left, right = _s0_window(q, r)
     lo = left
     tries = 0
-    while gv_derivative_sign(q, r, delta, lo) > 0:
+    while _gv_sign(r, delta, qm1, omd, slope, log_qm1, lo)[0] > 0.0:
         lo /= 2.0
         tries += 1
         if tries > 1100:
             raise ConvergenceFailure("could not bracket a sign change of h'")
-    qm1 = q - 1.0
-    omd = 1.0 - delta
-    slope = omd * qm1
-    log_qm1 = log(qm1)
+    if not lo > 0.0:  # halved past the subnormals, where the sign test has no s
+        raise DomainError(f"s must be in (0, 1], got {lo}")
     global _s0band
     if _s0band is None:  # compiled on the first solve, not on import
         from . import _s0band

@@ -79,6 +79,7 @@ from .errors import (
     NotDivisible,
     NotRepairable,
     RankDeficiency,
+    SOutOfRange,
     SpecMismatch,
     TooLarge,
 )
@@ -339,6 +340,9 @@ class LinearCode:
     def __init__(self, field: galois.FieldSpec, n: int, k: int, generator,
                  repair_groups: tuple[tuple[int, ...], ...] | None = None,
                  y_values=None, meta: dict | None = None):
+        if repair_groups is not None:  # the constructions and `from_json` pass ints
+            repair_groups = tuple(tuple(galois._int(i, error=InvariantViolation) for i in g)
+                                  for g in repair_groups)
         self._setup(field, n, k, generator, repair_groups, y_values, meta,
                     lambda entries: _indices(field, entries))
 
@@ -352,10 +356,11 @@ class LinearCode:
         return code
 
     def _setup(self, field, n, k, rows, repair_groups, ys, meta, read) -> None:
-        """Check the shape, store the entries `read` makes of each row and of
-        the y values, then check the rank and the repair groups."""
-        if n < 1:
-            raise DomainError(f"a code needs length n >= 1, got n = {n}")
+        """Read n and k as integers (`galois._int`), check the shape, store
+        the entries `read` makes of each row and of the y values, then check
+        the rank and the repair groups."""
+        n = galois._int(n, 1, error=DomainError, message=f"a code needs length n >= 1, got n = {n}")
+        k = galois._int(k, error=LengthMismatch)
         if len(rows) != k:
             raise LengthMismatch(f"generator has {len(rows)} rows, expected k = {k}")
         for row in rows:
@@ -456,7 +461,7 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     from . import tower  # only this construction needs it; repair and verify do not
 
     group = tower.build_subgroup(spec, u, v)
-    r = group.r
+    r, s = group.r, galois._int(s, error=SOutOfRange)  # as thm34_params reads s
     n, _, d_lb = tower.thm34_params(spec, 1, r, s)
     t_poly = _indices(spec, good_function(spec, u, v))
     places = tower.enumerate_places(spec, 1)
@@ -474,7 +479,8 @@ def build_rational_lrc(spec: galois.FieldSpec, u: int, v: int, s: int) -> Linear
     if len({tvals[g[0]] for g in groups}) != len(groups):
         raise InvariantViolation("t collides on distinct orbits")
     rows = _evaluation_rows(spec, tvals, ys, r, s)
-    meta = {"construction": "rational-aut", "u": u, "v": v, "s": s, "r": r, "d_lower": d_lb}
+    meta = {"construction": "rational-aut", "u": group.u, "v": group.v, "s": s, "r": r,
+            "d_lower": d_lb}
     return LinearCode._of_indices(spec, n, r * (s + 1), rows, tuple(groups), ys, meta)
 
 
@@ -486,8 +492,7 @@ def naive_lrc(code: LinearCode, r: int) -> LinearCode:
     dependent); repair groups are the supports of the new rows.
     """
     f, n = code.field, code.n
-    if r < 1:
-        raise LocalityTooSmall(f"locality r = {r} < 1")
+    r = galois._int(r, 1, error=LocalityTooSmall, message=f"locality r = {r} < 1")
     if n % (r + 1):
         raise NotDivisible(f"(r+1) = {r + 1} does not divide n = {n}")
     if r * code.k < n:
@@ -685,7 +690,7 @@ def all_codewords(code: LinearCode, limit: int = 1 << 18) -> list[tuple[int, ...
     read; TooLarge when q^k > limit."""
     f, n = code.field, code.n
     total = f.q**code.k
-    if total > limit:
+    if total > galois._int(limit, error=DomainError):
         raise TooLarge(f"q^k = {total} exceeds limit {limit}")
     return list(map(tuple, _span_words(f, code._rows, n)))
 
@@ -721,30 +726,35 @@ def _block_rows(q: int, k: int, n: int) -> int:
     return b
 
 
+def _shifted(f: galois.FieldSpec, rows, n: int, tables):
+    """The block walk of both scans, for q <= 256: for each word `lead` of
+    the span of the leading rows (`_span_words`) in turn, an iterator over
+    the columns of the block, the span of the last b = `_block_rows` rows
+    (all of them when fewer), column j translated through tables[lead_j].
+    Through the add tables that is the block shifted by lead."""
+    b = min(len(rows), _block_rows(f.q, len(rows), n))
+    block = _columns(f, rows[len(rows) - b:], n)
+    for lead in _span_words(f, rows[:len(rows) - b], n):
+        yield map(bytes.translate, block, map(tables.__getitem__, lead))
+
+
 def _span_words(f: galois.FieldSpec, rows, n: int):
     """Each word of the span of the index rows, as n indices, in the order
     of `all_codewords`.  Each word of the leading rows shifts the columns
-    of a block of the last `_block_rows` rows (for q > 256, adds the
-    multiples of the last row), so no more than one block of each level
+    of a block of the last `_block_rows` rows (`_shifted`; for q > 256, adds
+    the multiples of the last row), so no more than one block of each level
     is held at once, whatever q^len(rows)."""
-    q = f.q
-    if q > 256:
-        if not rows:
-            yield (0,) * n
-            return
+    if not rows:
+        yield (0,) * n
+        return
+    if f.q > 256:
         add, mul = galois.index_ops(f)
         for lead in _span_words(f, rows[:-1], n):
-            for m in range(q):
+            for m in range(f.q):
                 yield [add(a, mul(m, c)) for a, c in zip(lead, rows[-1])]
         return
-    b = min(len(rows), _block_rows(q, len(rows), n))
-    block = _columns(f, rows[len(rows) - b:], n)
-    if b == len(rows):
-        yield from zip(*block)
-        return
-    add = f._byte_tables[0]
-    for lead in _span_words(f, rows[:-b], n):
-        yield from zip(*[col.translate(add[a]) for col, a in zip(block, lead)])
+    for cols in _shifted(f, rows, n, f._byte_tables[0]):
+        yield from zip(*cols)
 
 
 def _nonzero_blocks(code: LinearCode):
@@ -752,11 +762,11 @@ def _nonzero_blocks(code: LinearCode):
     message order of `all_codewords`: word 0 of block 0 is the zero word.
 
     A block is the span of the last b = `_block_rows` message rows, and
-    each word `lead` spanned by the leading k - b rows (`_span_words`)
-    shifts it.  The block yields one int per coordinate j whose byte m is
-    1 where word m of the shifted block is nonzero at j, else 0.  For
-    q <= 256 that is column j of the block translated through the field's
-    nonzero[lead_j] table.  A symbol above 255 does not fit a byte, so for
+    each word `lead` spanned by the leading k - b rows shifts it.  The
+    block yields one int per coordinate j whose byte m is 1 where word m
+    of the shifted block is nonzero at j, else 0.  For q <= 256 that is
+    column j of the block translated through the field's nonzero[lead_j]
+    table (`_shifted`).  A symbol above 255 does not fit a byte, so for
     q > 256 the block is the last row c alone, and lead_j + m c_j is zero
     only at m = -lead_j / c_j (everywhere when lead_j = c_j = 0).  Raises
     TooLarge for q > _SCAN_Q.
@@ -768,28 +778,23 @@ def _nonzero_blocks(code: LinearCode):
     if not k:  # the zero word alone
         yield [0] * n
         return
-    b = _block_rows(q, k, n)
-    leads = _span_words(f, rows[:k - b], n)
-    if q > 256:
-        exp, log, _ = f._logs
-        ones = int.from_bytes(b"\1" * q, "little")
-        neg = log[f.p - 1]  # log(-1)
-        lcs = [log[c] for c in rows[-1]]  # -1 for c = 0
-        for lead in leads:
-            lanes = []
-            for a, lc in zip(lead, lcs):
-                if lc < 0:
-                    lanes.append(ones if a else 0)
-                else:
-                    m = exp[(log[a] + neg - lc) % (q - 1)] if a else 0
-                    lanes.append(ones ^ (1 << 8 * m))
-            yield lanes
+    if q <= 256:
+        for cols in _shifted(f, rows, n, f._byte_tables[2]):
+            yield [int.from_bytes(col, "little") for col in cols]
         return
-    nonzero = f._byte_tables[2]
-    block = _columns(f, rows[k - b:], n)
-    for lead in leads:
-        yield [int.from_bytes(col.translate(nonzero[a]), "little")
-               for col, a in zip(block, lead)]
+    exp, log, _ = f._logs
+    ones = int.from_bytes(b"\1" * q, "little")
+    neg = log[f.p - 1]  # log(-1)
+    lcs = [log[c] for c in rows[-1]]  # -1 for c = 0
+    for lead in _span_words(f, rows[:-1], n):
+        lanes = []
+        for a, lc in zip(lead, lcs):
+            if lc < 0:
+                lanes.append(ones if a else 0)
+            else:
+                m = exp[(log[a] + neg - lc) % (q - 1)] if a else 0
+                lanes.append(ones ^ (1 << 8 * m))
+        yield lanes
 
 
 def _counts(lanes: list[int], size: int):
@@ -825,7 +830,7 @@ def min_distance(code: LinearCode, limit: int = 1 << 22) -> int:
     if not k:
         raise DomainError(f"the [{n}, 0] code has no nonzero codeword, so no minimum distance")
     total = q**k
-    if total > limit:
+    if total > galois._int(limit, error=DomainError):
         raise TooLarge(
             f"q^k = {total} exceeds limit {limit}; use sampled weights to "
             "probe d_lower instead"
@@ -869,7 +874,7 @@ def verify_locality(code: LinearCode, exhaustive_limit: int = 1 << 18) -> Locali
         for row, pc in zip(red, pivots):
             algebraic[g[pc]] = any(row[fc] for fc in free)
     exhaustive = None
-    if code.field.q**code.k <= exhaustive_limit:
+    if code.field.q**code.k <= galois._int(exhaustive_limit, error=DomainError):
         exhaustive = [True] * code.n
         for lanes in _nonzero_blocks(code):
             for g in code.repair_groups:
@@ -943,14 +948,6 @@ def _decode(f: galois.FieldSpec, coefficient_lists) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _int(value, name: str) -> int:
-    """value itself if it is an int (not a bool, float or string); else
-    SpecMismatch, as for a digit in `_decode`."""
-    if type(value) is not int:
-        raise SpecMismatch(f"{name} {value!r} is not an integer")
-    return value
-
-
 def from_json(data) -> LinearCode:
     """Rebuild a code from its JSON document (string, bytes or parsed dict);
     raises SpecMismatch on malformed input and LengthMismatch on a wrong
@@ -961,7 +958,7 @@ def from_json(data) -> LinearCode:
         spec = galois.field_from_json(data["field"])
         rows = [_decode(spec, row) for row in data["generator"]]
         groups = (
-            tuple(tuple(_int(i, "repair group entry") for i in g)
+            tuple(tuple(galois._json_int(i, "repair group entry") for i in g)
                   for g in data["repair_groups"])
             if data.get("repair_groups") is not None
             else None
@@ -972,11 +969,11 @@ def from_json(data) -> LinearCode:
         meta = dict(data.get("params", {}))
         meta.pop("r", None)
         if data.get("r") is not None:
-            meta["r"] = _int(data["r"], "r")
+            meta["r"] = galois._json_int(data["r"], "r")
         meta.update(construction=data.get("construction", "generic"),
-                    d_lower=_int(data.get("d_lower", 1), "d_lower"))
-        return LinearCode._of_indices(spec, _int(data["n"], "n"), _int(data["k"], "k"),
-                                      rows, groups, ys, meta)
+                    d_lower=galois._json_int(data.get("d_lower", 1), "d_lower"))
+        return LinearCode._of_indices(spec, galois._json_int(data["n"], "n"),
+                                      galois._json_int(data["k"], "k"), rows, groups, ys, meta)
     except LrcError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

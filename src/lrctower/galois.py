@@ -19,7 +19,8 @@ the trace map x -> x^ell + x, which a field builds once over indices and
 Each field rule is written once: `_require_square` is the odd-degree
 guard of this module and `tower`, `bounds._prime_power` decides whether
 p is prime, `bounds._unit_gcd` is the bound gcd(p^v - 1, ell - 1) that u
-must divide, and `_int` reads every integer parameter.
+must divide, `_int` reads every integer parameter of a call and
+`_json_int` every integer of a field or code document.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ def _index(coeffs: Sequence[int], p: int) -> int:
 
 
 def _int(x, lo=-inf, hi=inf, error=SpecMismatch, message="") -> int:
-    """The integer parameter x, read by `operator.index` as `field_from_json`
-    reads p and w, so ints, bools and numpy ints pass: error(message) unless
-    lo <= x <= hi, and error naming x if it is no integer (a float, NaN or
-    string)."""
+    """The integer parameter x of a Python call, read by `operator.index`,
+    so ints, bools and numpy ints pass: error(message) unless lo <= x <= hi,
+    and error naming x if it is no integer (a float, NaN or string).  A
+    document's integers are read by `_json_int` instead."""
     try:
         n = _integer(x)
     except TypeError:
@@ -96,6 +97,15 @@ def _int(x, lo=-inf, hi=inf, error=SpecMismatch, message="") -> int:
     if not lo <= n <= hi:
         raise error(message)
     return n
+
+
+def _json_int(value, name: str) -> int:
+    """The integer `name` of a field or code document: value itself if it
+    is a JSON integer, a Python int (not a bool, float or string); else
+    SpecMismatch.  `codes._decode` reads a coefficient the same way."""
+    if type(value) is not int:
+        raise SpecMismatch(f"{name} {value!r} is not an integer")
+    return value
 
 
 class FieldSpec:
@@ -165,6 +175,8 @@ class FieldSpec:
     # -- element access ------------------------------------------------
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
+        if not isinstance(coeffs, Sequence):
+            raise SpecMismatch(f"coefficients {coeffs!r} are not a sequence")
         if len(coeffs) != self.w:
             raise SpecMismatch(
                 f"expected {self.w} coefficients, got {len(coeffs)}"
@@ -290,7 +302,10 @@ class FieldElement:
         return not self.index
 
     def _operand(self, other) -> "FieldElement":
-        if isinstance(other, int):
+        """other as an element of this field: an element itself, anything
+        else read as an integer scalar by `_int` (ints, bools and numpy
+        ints); SpecMismatch for a float, string or None."""
+        if not isinstance(other, FieldElement):
             return self.field.scalar(other)
         if self.field is not other.field and self.field != other.field:
             raise SpecMismatch("operands from different fields")
@@ -377,8 +392,8 @@ def field_create(p: int, w: int) -> FieldSpec:
 def field_from_json(data: dict) -> FieldSpec:
     """Rebuild a field from {p, w, modulus}, enforcing the deterministic modulus."""
     try:
-        p, w = _integer(data["p"]), _integer(data["w"])
-        modulus = [_integer(c) for c in data["modulus"]]
+        p, w = _json_int(data["p"], "p"), _json_int(data["w"], "w")
+        modulus = [_json_int(c, "modulus coefficient") for c in data["modulus"]]
     except (KeyError, TypeError) as exc:
         raise SpecMismatch(f"malformed field: {exc!r}") from None
     spec = field_create(p, w)

@@ -81,9 +81,9 @@ class AutSubgroup:
     def __init__(self, spec: galois.FieldSpec, u: int, v: int,
                  pairs: list[tuple[int, int]]):
         self.spec = spec
-        self.u = u
-        self.v = v
-        self.order = u * spec.p**v
+        self.u = galois._int(u, error=InvariantViolation)
+        self.v = galois._int(v, error=InvariantViolation)
+        self.order = self.u * spec.p**self.v
         self.pairs = sorted(pairs)
         self._validate()
 
@@ -174,19 +174,26 @@ def _pair_failure(spec: galois.FieldSpec, pairs) -> str | None:
     return None
 
 
+def _level(spec: galois.FieldSpec, m: int) -> tuple[int, int, int]:
+    """(ell, m, n_m) for level m of the tower over spec: the odd-degree
+    guard, then the level read as an integer >= 1, and the place count
+    n_m = ell^(m-1) (q - ell)."""
+    ell = galois._require_square(spec)
+    m = galois._int(m, 1, error=NotAdmissible, message=f"level must be >= 1, got {m}")
+    return ell, m, ell ** (m - 1) * (spec.q - ell)
+
+
 def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     """All rational evaluation places of T_m, lexicographic in coordinate
     order; each next coordinate x solves trace(x) = step(previous)."""
-    ell, q = galois._require_square(spec), spec.q
-    m = galois._int(m, 1, error=NotAdmissible, message=f"level must be >= 1, got {m}")
-    expected = ell ** (m - 1) * (q - ell)
+    ell, m, expected = _level(spec, m)
     if expected > PLACE_GUARD:
         raise TooLarge(f"{expected} places exceed the guard {PLACE_GUARD}")
     trace, step = _maps(spec)
     pre: dict[int, list[int]] = {}  # v -> the ell solutions x of trace(x) = v
     for x, t in enumerate(trace):
         pre.setdefault(t, []).append(x)
-    level = [(a,) for a in range(q) if trace[a]]
+    level = [(a,) for a in range(spec.q) if trace[a]]
     for _ in range(m - 1):
         nxt = []
         for coords in level:
@@ -200,7 +207,7 @@ def enumerate_places(spec: galois.FieldSpec, m: int) -> list[TowerPlace]:
     if len(level) != expected:  # pragma: no cover - structural
         raise InvariantViolation(f"{len(level)} places, expected {expected}")
     level.sort()
-    elems = [galois.FieldElement(spec, x) for x in range(q)]
+    elems = [galois.FieldElement(spec, x) for x in range(spec.q)]
     return [TowerPlace(m, tuple(elems[x] for x in coords)) for coords in level]
 
 
@@ -214,8 +221,7 @@ def validate_place(spec: galois.FieldSpec, place: TowerPlace) -> None:
 
 def genus(spec: galois.FieldSpec, m: int) -> int:
     """Genus of T_m (0 for m = 1)."""
-    ell = galois._require_square(spec)
-    m = galois._int(m, 1, error=NotAdmissible, message=f"level must be >= 1, got {m}")
+    ell, m, _ = _level(spec, m)
     if m % 2 == 0:
         return (ell ** (m // 2) - 1) ** 2
     return (ell ** ((m + 1) // 2) - 1) * (ell ** ((m - 1) // 2) - 1)
@@ -308,7 +314,7 @@ def orbit_partition(group: AutSubgroup,
 def s_range(spec: galois.FieldSpec, m: int, r: int) -> tuple[int, int]:
     """Inclusive (s_min, s_max) for the divisor degree at level m with
     locality r >= 1."""
-    ell = spec.ell
+    ell, m, _ = _level(spec, m)
     g = genus(spec, m)
     r = galois._int(r, 1, error=LocalityTooSmall, message=f"locality r = {r} < 1")
     s_min = 0 if m == 1 else -(-(g - 1) // (r + 1))  # ceil((g-1)/(r+1))
@@ -329,8 +335,7 @@ def thm34_params(spec: galois.FieldSpec, m: int, r: int,
         raise NotAdmissible(f"locality r = {r} is not admissible for q = {spec.q}")
     lo, hi = s_range(spec, m, r)
     s = galois._int(s, lo, hi, error=SOutOfRange, message=f"s = {s} outside [{lo}, {hi}]")
-    ell = spec.ell
-    n = ell ** (m - 1) * (spec.q - ell)
+    ell, m, n = _level(spec, m)
     g = genus(spec, m)
     k_lb = -((r * (g - 1) - r * s * (r + 1)) // (r + 1))  # the exact ceiling
     d_lb = n - (r + 1) * s - (r - 1) * ell ** (m - 1)

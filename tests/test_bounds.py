@@ -304,16 +304,35 @@ def test_gv_solve_is_bit_identical_to_the_reference_bisection():
 
 @pytest.fixture
 def sign_probes(monkeypatch):
-    """The s of every gv_derivative_sign call, in order."""
-    probes = []
-    inner = bounds.gv_derivative_sign
+    """A function that runs one GV solve and returns the s of every sign
+    test (`bounds._gv_sign`) the solve makes before it enters the band
+    (`_s0band.band`), in order; it asserts that the solve never calls the
+    public `gv_derivative_sign`."""
+    probes, public = [], []
+    sign, band, derivative_sign = bounds._gv_sign, _s0band.band, bounds.gv_derivative_sign
+
+    def probe(r, delta, qm1, omd, slope, log_qm1, s):
+        probes.append(s)
+        return sign(r, delta, qm1, omd, slope, log_qm1, s)
+
+    def enter_band(*args):
+        monkeypatch.setattr(bounds, "_gv_sign", sign)  # the band and the replay go unrecorded
+        return band(*args)
 
     def counting(q, r, delta, s):
-        probes.append(s)
-        return inner(q, r, delta, s)
+        public.append(s)
+        return derivative_sign(q, r, delta, s)
 
+    def run(solve, q, r, delta):
+        probes.clear()
+        monkeypatch.setattr(bounds, "_gv_sign", probe)
+        solve(q, r, delta)
+        assert public == [], (q, r, delta)
+        return list(probes)
+
+    monkeypatch.setattr(_s0band, "band", enter_band)
     monkeypatch.setattr(bounds, "gv_derivative_sign", counting)
-    return probes
+    return run
 
 
 @pytest.mark.parametrize("q,r,delta", [
@@ -321,21 +340,29 @@ def sign_probes(monkeypatch):
 ])
 @pytest.mark.parametrize("solve", [bounds.find_s0, bounds.gv_bound])
 def test_gv_solve_calls_the_sign_at_most_twice(sign_probes, solve, q, r, delta):
-    solve(q, r, delta)
-    assert len(sign_probes) <= 2
+    assert len(sign_probes(solve, q, r, delta)) <= 2
 
 
 def test_gv_solve_probes_the_sign_only_at_one_and_the_bracket_end(sign_probes):
     # below delta = 1/2 the bracket may halve its low end, one probe per
     # halving; no bisection midpoint is probed
     for q, r, delta in itertools.islice(_gv_inputs(), 500):
-        sign_probes.clear()
-        bounds.find_s0(q, r, delta)
+        probes = sign_probes(bounds.find_s0, q, r, delta)
         want, lo = [1.0], bounds.s0_window(q, r)[0]
-        while len(want) < len(sign_probes):
+        while len(want) < len(probes):
             want.append(lo)
             lo /= 2.0
-        assert sign_probes == want, (q, r, delta)
+        assert probes == want, (q, r, delta)
+
+
+def test_a_bracket_halved_past_the_subnormals_is_a_domain_error():
+    # (r + 1) ln q is finite, but h' > 0 down to the least subnormal s, so
+    # the low end halves to 0.0, where the sign test has no s; the probe
+    # of the earlier bisection raised this error there
+    for q, r, delta in [(1e20, 1e306, 1e-305), (1e30, 1e305, 1e-320)]:
+        for solve in (bounds.find_s0, bounds.gv_bound):
+            with pytest.raises(DomainError, match=r"^s must be in \(0, 1\], got 0\.0$"):
+                solve(q, r, delta)
 
 
 def test_gv_solve_is_bit_identical_on_the_adversarial_corpus():

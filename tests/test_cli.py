@@ -595,3 +595,34 @@ def test_huge_q_names_the_integer_the_float_holds():
         result = invoke("bounds", "eval", "--bound", "main", "--q", str(q), "--r", "2",
                         "--delta", "0.5")
         assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("key,value,line", [
+    ("modulus", [True, False, True], "SpecMismatch: modulus coefficient True is not an integer"),
+    ("p", True, "SpecMismatch: p True is not an integer"),
+    ("w", True, "SpecMismatch: w True is not an integer"),
+])
+def test_a_boolean_in_a_code_files_field_is_one_error_line(tmp_path, key, value, line):
+    code = tmp_path / "c.json"
+    invoke("code", "build", "--q", "9", "--u", "1", "--v", "1", "--s", "1",
+           "--out", str(code))
+    doc = json.loads(code.read_text())
+    doc["field"][key] = value
+    code.write_text(json.dumps(doc))
+    result = invoke("code", "verify", str(code))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == line + "\n"
+
+
+def test_emit_removes_its_temp_file_when_the_write_fails(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no encoding
+        cli._emit("\udc80", str(out))
+    assert list(tmp_path.iterdir()) == []  # neither the artifact nor a .tmp-artifact-*
+
+
+def test_package_dir_lists_the_lazy_modules():
+    names = dir(lrctower)
+    assert names == sorted(names)
+    assert {"LrcError", "bounds", "codes", "errors", "galois", "tower"} <= set(names)

@@ -1,4 +1,5 @@
 import collections
+import inspect
 import itertools
 import json
 import math
@@ -18,6 +19,7 @@ from lrctower.errors import (
     InvariantViolation,
     LengthMismatch,
     LocalityTooSmall,
+    LrcError,
     NoGroups,
     NotDivisible,
     NotRepairable,
@@ -1392,3 +1394,101 @@ def test_a_rank_deficient_generator_is_rejected():
     row = [f9.from_index(1), f9.from_index(2)]
     with pytest.raises(RankDeficiency, match="generator rank below k = 2"):
         codes.LinearCode(field=f9, n=2, k=2, generator=[row, list(row)])
+
+
+def test_the_rank_of_an_empty_matrix_is_zero():
+    assert codes.matrix_rank([]) == 0
+    assert codes.matrix_rank([[]]) == 0
+
+
+# -- the input contract of every public function ----------------------------------------
+
+def _gf9_code():
+    return codes.build_rational_lrc(F(3, 2), 1, 1, 1)  # [6, 4], groups of r + 1 = 3
+
+
+def _two_group_code(n, k, entry):
+    """A GF(3) [4, 2] code whose last repair-group entry is `entry` (3)."""
+    one, zero = F(3, 1).one(), F(3, 1).zero()
+    gen = ((one, one, zero, zero), (zero, zero, one, one))
+    return codes.LinearCode(F(3, 1), n, k, gen, ((0, 1), (2, entry)))
+
+
+def _document(**fields):
+    """The JSON document of `_gf9_code` with top-level fields replaced, and
+    its first repair-group entry replaced by `entry`."""
+    doc = json.loads(codes.to_json(_gf9_code()))
+    doc["repair_groups"][0][0] = fields.pop("entry", 0)
+    doc.update(fields)
+    return doc
+
+
+#: (name, call, valid keyword arguments, the integer parameters among them,
+#: whether they are a document's): every public function of `codes`, public
+#: method of `LinearCode` and the `LinearCode` constructor has an entry
+_CONTRACT = [
+    ("codes.poly_eval", lambda: codes.poly_eval((F(3, 2).one(),), F(3, 2).zero()), {}, (),
+     False),
+    ("codes.matrix_rank", lambda: codes.matrix_rank([[F(3, 2).one()]]), {}, (), False),
+    ("codes.null_space", lambda: codes.null_space(F(3, 2), [[F(3, 2).one()] * 2]), {}, (),
+     False),
+    ("codes.good_function", lambda u, v: codes.good_function(F(3, 2), u, v),
+     {"u": 1, "v": 1}, ("u", "v"), False),
+    ("codes.build_rational_lrc", lambda u, v, s: codes.build_rational_lrc(F(3, 2), u, v, s),
+     {"u": 1, "v": 1, "s": 1}, ("u", "v", "s"), False),
+    ("codes.naive_lrc", lambda r: codes.naive_lrc(_code_633(), r), {"r": 2}, ("r",), False),
+    ("codes.encode", lambda m: codes.encode(_gf9_code(), [m, 0, 0, 1]), {"m": 5}, ("m",),
+     False),
+    ("codes.local_repair",
+     lambda idx, x: codes.local_repair(_gf9_code(), [None, x, 2, 3, 4, 5], idx),
+     {"idx": 0, "x": 7}, ("idx", "x"), False),
+    ("codes.all_codewords", lambda limit: codes.all_codewords(_code_633(), limit),
+     {"limit": 8}, ("limit",), False),
+    ("codes.min_distance", lambda limit: codes.min_distance(_gf9_code(), limit),
+     {"limit": 9**4}, ("limit",), False),
+    ("codes.verify_locality",
+     lambda limit: codes.verify_locality(_gf9_code(), exhaustive_limit=limit),
+     {"limit": 9**4}, ("limit",), False),
+    ("codes.to_json", lambda: codes.to_json(_gf9_code()), {}, (), False),
+    ("codes.from_json", lambda **fields: codes.from_json(_document(**fields)),
+     {"n": 6, "k": 4, "r": 2, "d_lower": 2, "entry": 0}, ("n", "k", "r", "d_lower", "entry"),
+     True),
+    ("LinearCode", _two_group_code, {"n": 4, "k": 2, "entry": 3}, ("n", "k", "entry"), False),
+    ("LinearCode.group_of", lambda idx: _gf9_code().group_of(idx), {"idx": 0}, ("idx",),
+     False),
+]
+
+
+def test_every_public_codes_function_has_a_contract_entry():
+    public = {f"codes.{name}" for name, fn in inspect.getmembers(codes, inspect.isfunction)
+              if fn.__module__ == codes.__name__ and not name.startswith("_")}
+    public |= {f"LinearCode.{name}"
+               for name, _ in inspect.getmembers(codes.LinearCode, inspect.isfunction)
+               if not name.startswith("_")}
+    assert public | {"LinearCode"} == {name for name, *_ in _CONTRACT}
+
+
+def _plain(result):
+    """A result as comparable, JSON-ready data: a code as its document."""
+    return codes.to_json(result) if isinstance(result, codes.LinearCode) else result
+
+
+@pytest.mark.parametrize("name,call,kwargs,integers,document", _CONTRACT,
+                         ids=[name for name, *_ in _CONTRACT])
+def test_a_non_integer_parameter_is_one_lrc_error(name, call, kwargs, integers, document):
+    # never a raw exception; a numpy integer acts as the int it holds (so a
+    # code's to_json still writes plain integers), and a document takes
+    # JSON integers alone
+    import numpy as np
+
+    want = _plain(call(**kwargs))  # the valid arguments are valid
+    for key in integers:
+        for value in (2.5, math.nan, "3"):
+            with pytest.raises(LrcError):
+                call(**{**kwargs, key: value})
+        if document:
+            for value in (np.int64(kwargs[key]), bool(kwargs[key]), float(kwargs[key])):
+                with pytest.raises(SpecMismatch, match="is not an integer$"):
+                    call(**{**kwargs, key: value})
+        else:
+            assert _plain(call(**{**kwargs, key: np.int64(kwargs[key])})) == want, key

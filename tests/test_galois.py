@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -476,3 +477,46 @@ def test_index_helpers_match_the_element_definitions(p, w):
 def test_galois_error_paths(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+# -- element operands and field documents -----------------------------------------------
+
+@pytest.mark.parametrize("other", [1.5, "1", None], ids=["float", "string", "none"])
+def test_an_operand_that_is_no_integer_or_element_is_a_spec_mismatch(other):
+    one = galois.field_create(3, 2).one()
+    for op in (operator.add, operator.sub, operator.mul, operator.lt):
+        with pytest.raises(SpecMismatch, match=r"is not an integer$"):
+            op(one, other)
+
+
+def test_a_numpy_integer_operand_is_the_scalar_an_int_is():
+    import numpy as np
+
+    f = galois.field_create(3, 2)
+    x = f.from_index(5)
+    for n in (0, 1, 2, 4):
+        assert x + np.int64(n) == x + n
+        assert x - np.int64(n) == x - n
+        assert x * np.int64(n) == x * n
+        assert (x < np.int64(n)) == (x < n)
+
+
+def test_element_of_a_non_sequence_is_a_spec_mismatch():
+    f = galois.field_create(3, 2)
+    for coeffs in (5, None, 2.5, {0, 1}):
+        with pytest.raises(SpecMismatch, match=r"are not a sequence$"):
+            f.element(coeffs)
+    assert f.element((1, 2)) == f.element([1, 2]) == f.from_index(7)
+
+
+@pytest.mark.parametrize("key,value,name", [
+    ("p", True, "p"), ("w", True, "w"), ("p", 3.0, "p"), ("w", 2.0, "w"),
+    ("modulus", [True, False, True], "modulus coefficient"),
+    ("modulus", [1, 0, 1.0], "modulus coefficient"),
+])
+def test_a_field_document_takes_json_integers_alone(key, value, name):
+    doc = {"p": 3, "w": 2, "modulus": [1, 0, 1]}
+    assert galois.field_from_json(doc) is galois.field_create(3, 2)
+    bad = value if key != "modulus" else next(c for c in value if type(c) is not int)
+    with pytest.raises(SpecMismatch, match=rf"^{name} {bad!r} is not an integer$"):
+        galois.field_from_json({**doc, key: value})
